@@ -27,8 +27,13 @@ fmt-check:
 test:
 	$(GO) test ./...
 
+# The race pass over everything, then repeated runs of the tests that
+# share one tracker between concurrent query views, so an interleaving
+# the detector missed once gets nine more chances.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/em
+	$(GO) test -race -count=10 -run 'TestConcurrent|TestTraceInvariant|TestRunBatchPanic|TestSnapshotConcurrent' .
 
 # Fuzz pass over every fuzz target. FUZZTIME scales the session: the
 # default is CI-sized, the nightly workflow cranks it to minutes

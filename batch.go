@@ -119,13 +119,13 @@ type HalfspaceQuery struct {
 type batchSpec[Q, R any] struct {
 	ctx QueryCtx
 	k   int
-	one func(Q) []R
-	max func(Q) []R // shared-path top-1 fallback; must not require a view
+	one func(*em.QueryView, Q) []R // charges every I/O to the given view
+	max func(Q) []R                // shared-path top-1 fallback
 }
 
-// runBatch answers qs[i] via spec.one(qs[i]) on a bounded pool of
-// `parallelism` worker goroutines, wrapping each call in an em.Tracker
-// query view so the result carries that query's own cold-cache I/O stats.
+// runBatch answers qs[i] via spec.one(v, qs[i]) on a bounded pool of
+// `parallelism` worker goroutines, where v is a fresh em.Tracker query view
+// per call, so the result carries that query's own cold-cache I/O stats.
 // parallelism <= 0 means GOMAXPROCS. Results are positionally aligned
 // with qs.
 //
@@ -135,7 +135,7 @@ type batchSpec[Q, R any] struct {
 // boundary and mapped onto the result's Outcome/Err (plus the Max
 // fallback when requested). The view's partial counters stay exact.
 //
-// Any other panic inside spec.one(q) does not wedge the pool: the
+// Any other panic inside spec.one does not wedge the pool: the
 // panicking worker ends its view, the remaining workers drain, and the
 // first panic value is re-raised on the calling goroutine once all
 // workers have exited. Workers stop claiming new queries after a panic,
@@ -170,10 +170,9 @@ func runBatch[Q, R any](tr *em.Tracker, ob *indexObs, qs []Q, parallelism int, s
 		done := false
 		defer func() {
 			if !done {
-				// spec.one(qs[i]) panicked: release the view so the
-				// tracker's goroutine routing table doesn't leak, record
-				// the first panic, and stop the pool from claiming
-				// further queries.
+				// spec.one panicked: end the view so the tracker's
+				// open-view count doesn't leak, record the first panic,
+				// and stop the pool from claiming further queries.
 				v.End()
 				if r := recover(); r != nil {
 					aborted.Store(true)
@@ -181,7 +180,7 @@ func runBatch[Q, R any](tr *em.Tracker, ob *indexObs, qs []Q, parallelism int, s
 				}
 			}
 		}()
-		items, abort := runLimited(spec.one, qs[i])
+		items, abort := runLimited(spec.one, v, qs[i])
 		st := v.End()
 		out[i] = BatchResult[R]{
 			Items: items,
@@ -244,7 +243,7 @@ func runBatch[Q, R any](tr *em.Tracker, ob *indexObs, qs []Q, parallelism int, s
 // the budget/deadline sentinel raised by the view's charge paths — into
 // a return value. Every other panic keeps unwinding into runBatch's
 // pool-abort handling.
-func runLimited[Q, R any](one func(Q) []R, q Q) (items []R, abort *em.AbortError) {
+func runLimited[Q, R any](one func(*em.QueryView, Q) []R, v *em.QueryView, q Q) (items []R, abort *em.AbortError) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ae, ok := r.(*em.AbortError); ok {
@@ -254,5 +253,5 @@ func runLimited[Q, R any](one func(Q) []R, q Q) (items []R, abort *em.AbortError
 			panic(r)
 		}
 	}()
-	return one(q), nil
+	return one(v, q), nil
 }

@@ -109,7 +109,7 @@ func TestRunBatchPanicPropagates(t *testing.T) {
 
 	run := func() (recovered any) {
 		defer func() { recovered = recover() }()
-		runBatch(tr, nil, qs, 4, batchSpec[int, int]{one: func(q int) []int {
+		runBatch(tr, nil, qs, 4, batchSpec[int, int]{one: func(_ *em.QueryView, q int) []int {
 			if q == 7 {
 				panic("query 7 exploded")
 			}
@@ -125,9 +125,12 @@ func TestRunBatchPanicPropagates(t *testing.T) {
 		t.Fatalf("unexpected panic value %v", rec)
 	}
 
-	// The pool must be reusable: all views ended, no goroutine routing
-	// left behind, per-result positions intact.
-	res := runBatch(tr, nil, qs, 4, batchSpec[int, int]{one: func(q int) []int { return []int{q * 2} }})
+	// Every view ended: a leaked one would make the tracker refuse
+	// allocation.
+	tr.Alloc()
+
+	// The pool must be reusable, per-result positions intact.
+	res := runBatch(tr, nil, qs, 4, batchSpec[int, int]{one: func(_ *em.QueryView, q int) []int { return []int{q * 2} }})
 	if len(res) != len(qs) {
 		t.Fatalf("follow-up batch returned %d results, want %d", len(res), len(qs))
 	}
@@ -153,7 +156,7 @@ func TestRunBatchPanicConcurrentSafety(t *testing.T) {
 					t.Fatal("panic did not propagate")
 				}
 			}()
-			runBatch(tr, nil, qs, 8, batchSpec[int, int]{one: func(q int) []int {
+			runBatch(tr, nil, qs, 8, batchSpec[int, int]{one: func(_ *em.QueryView, q int) []int {
 				if q%37 == 3 {
 					panic(q)
 				}

@@ -358,7 +358,7 @@ func BenchmarkE16_RoundAlgorithm(b *testing.B) {
 	g := wrand.New(benchSeed + 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp.TopK(g.Float64()*100, 512)
+		exp.TopK(nil, g.Float64()*100, 512)
 	}
 	b.StopTimer()
 	st := exp.Stats()
@@ -443,7 +443,7 @@ func benchEnclosureMax(b *testing.B, cascade bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MaxItem(enclosure.Pt2{X: 18 + float64(i%45), Y: 140 + float64(i%60)})
+		m.MaxItem(nil, enclosure.Pt2{X: 18 + float64(i%45), Y: 140 + float64(i%60)})
 	}
 }
 
@@ -461,7 +461,7 @@ func BenchmarkE20_SigmaLadder(b *testing.B) {
 	g := wrand.New(benchSeed + 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp.TopK(g.Float64()*100, 64)
+		exp.TopK(nil, g.Float64()*100, 64)
 	}
 }
 
@@ -477,7 +477,7 @@ func BenchmarkE21_SmallF(b *testing.B) {
 	g := wrand.New(benchSeed + 21)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wc.TopK(g.Float64()*100, 16)
+		wc.TopK(nil, g.Float64()*100, 16)
 	}
 }
 
@@ -508,7 +508,7 @@ func benchBall(b *testing.B, lifted bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ball := circular.Ball{Center: []float64{float64(i%9 - 4), float64(i%7 - 3)}, R: 1.5}
-		pri.ReportAbove(ball, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
+		pri.ReportAbove(nil, ball, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
 	}
 }
 
@@ -530,7 +530,7 @@ func BenchmarkE23_PrioritizedFromTopK(b *testing.B) {
 	tau := sorted[len(sorted)/100].Weight // ~top-1% threshold
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adapted.ReportAbove(g.Float64()*100, tau, func(core.Item[interval.Interval]) bool { return true })
+		adapted.ReportAbove(nil, g.Float64()*100, tau, func(core.Item[interval.Interval]) bool { return true })
 	}
 }
 

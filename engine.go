@@ -202,11 +202,8 @@ func (e *engine[Q, V, It]) wrap(ci core.Item[V]) It {
 	return e.p.fromCore(ci, e.data[ci.Weight])
 }
 
-// TopK returns the k heaviest items satisfying q, heaviest first.
-func (e *engine[Q, V, It]) TopK(q Q, k int) []It {
-	t0, before := e.ob.start()
-	res := e.topk.TopK(q, k)
-	e.ob.done(t0, before, func() string { return e.p.describe(q, k) })
+// wrapAll rebuilds the exported items of a core query result.
+func (e *engine[Q, V, It]) wrapAll(res []core.Item[V]) []It {
 	out := make([]It, len(res))
 	for i, ci := range res {
 		out[i] = e.wrap(ci)
@@ -214,18 +211,26 @@ func (e *engine[Q, V, It]) TopK(q Q, k int) []It {
 	return out
 }
 
+// TopK returns the k heaviest items satisfying q, heaviest first.
+func (e *engine[Q, V, It]) TopK(q Q, k int) []It {
+	t0, before := e.ob.start()
+	res := e.topk.TopK(nil, q, k)
+	e.ob.done(t0, before, func() string { return e.p.describe(q, k) })
+	return e.wrapAll(res)
+}
+
 // ReportAbove streams every item satisfying q with weight ≥ tau (in
 // unspecified order); return false from visit to stop early. This is the
 // underlying prioritized query.
 func (e *engine[Q, V, It]) ReportAbove(q Q, tau float64, visit func(It) bool) {
-	e.pri.ReportAbove(q, tau, func(ci core.Item[V]) bool {
+	e.pri.ReportAbove(nil, q, tau, func(ci core.Item[V]) bool {
 		return visit(e.wrap(ci))
 	})
 }
 
 // Max returns the heaviest item satisfying q (a top-1 query).
 func (e *engine[Q, V, It]) Max(q Q) (It, bool) {
-	res := e.topk.TopK(q, 1)
+	res := e.topk.TopK(nil, q, 1)
 	if len(res) == 0 {
 		var zero It
 		return zero, false
@@ -407,12 +412,14 @@ func (e *engine[Q, V, It]) QueryBatchCtx(ctx QueryCtx, qs []Q, k int, parallelis
 	return runBatch(e.tracker, e.ob, qs, parallelism, batchSpec[Q, It]{
 		ctx: ctx,
 		k:   k,
-		one: func(q Q) []It { return e.TopK(q, k) },
+		// The batch path skips TopK's single-query accounting: the view
+		// reports the query exactly and runBatch observes it.
+		one: func(v *em.QueryView, q Q) []It { return e.wrapAll(e.topk.TopK(v, q, k)) },
 		max: func(q Q) []It {
 			// Raw top-1 on the shared tracker path: bypasses e.Max's
 			// single-query observation hooks so the fallback doesn't
 			// count as an extra query in the metrics.
-			res := e.topk.TopK(q, 1)
+			res := e.topk.TopK(nil, q, 1)
 			if len(res) == 0 {
 				return nil
 			}

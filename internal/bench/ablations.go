@@ -46,12 +46,12 @@ func runE19(w io.Writer, cfg Config) error {
 		var pIOs, cIOs int64
 		start := time.Now()
 		for _, q := range qs {
-			pIOs += coldIOs(trP, func() { plain.MaxItem(q) })
+			pIOs += coldIOs(trP, func() { plain.MaxItem(nil, q) })
 		}
 		tP := time.Since(start)
 		start = time.Now()
 		for _, q := range qs {
-			cIOs += coldIOs(trC, func() { casc.MaxItem(q) })
+			cIOs += coldIOs(trC, func() { casc.MaxItem(nil, q) })
 		}
 		tC := time.Since(start)
 		qn := float64(queries)
@@ -91,7 +91,7 @@ func runE20(w io.Writer, cfg Config) error {
 		}
 		var ios int64
 		for _, q := range qs {
-			ios += coldIOs(tr, func() { exp.TopK(q, k) })
+			ios += coldIOs(tr, func() { exp.TopK(nil, q, k) })
 		}
 		st := exp.Stats()
 		rounds := float64(st.Rounds) / float64(max64(1, st.Queries-st.NaiveScans))
@@ -128,7 +128,7 @@ func runE21(w io.Writer, cfg Config) error {
 		}
 		var ios int64
 		for _, q := range qs {
-			ios += coldIOs(tr, func() { wc.TopK(q, k) })
+			ios += coldIOs(tr, func() { wc.TopK(nil, q, k) })
 		}
 		st := wc.Stats()
 		t.row(fs, st.F, st.ChainLevels, st.CoreSetItems, float64(ios)/float64(queries), st.Fallbacks)
@@ -181,12 +181,12 @@ func runE22(w io.Writer, cfg Config) error {
 			}
 			start := time.Now()
 			lIOs += coldIOs(trL, func() {
-				lifted.ReportAbove(b, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
+				lifted.ReportAbove(nil, b, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
 			})
 			lT += time.Since(start)
 			start = time.Now()
 			dIOs += coldIOs(trD, func() {
-				direct.ReportAbove(b, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
+				direct.ReportAbove(nil, b, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
 			})
 			dT += time.Since(start)
 		}
@@ -234,11 +234,11 @@ func runE23(w io.Writer, cfg Config) error {
 			tau := ivTopKOracle(items, q, 32)
 			cnt := 0
 			nIOs += coldIOs(trN, func() {
-				native.ReportAbove(q, tau, func(core.Item[interval.Interval]) bool { cnt++; return true })
+				native.ReportAbove(nil, q, tau, func(core.Item[interval.Interval]) bool { cnt++; return true })
 			})
 			reported += cnt
 			aIOs += coldIOs(trT, func() {
-				adapted.ReportAbove(q, tau, func(core.Item[interval.Interval]) bool { return true })
+				adapted.ReportAbove(nil, q, tau, func(core.Item[interval.Interval]) bool { return true })
 			})
 		}
 		qn := float64(queries)

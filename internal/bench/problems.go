@@ -38,7 +38,7 @@ func runE7(w io.Writer, cfg Config) error {
 		}
 		var qIOs int64
 		for _, q := range StabPoints(cfg.Seed+70, queries) {
-			qIOs += coldIOs(tr, func() { exp.TopK(q, k) })
+			qIOs += coldIOs(tr, func() { exp.TopK(nil, q, k) })
 		}
 		fresh := Intervals(cfg.Seed+71, updates, 15)
 		var uIOs int64
@@ -85,7 +85,7 @@ func runE8(w io.Writer, cfg Config) error {
 		var ios int64
 		start := time.Now()
 		for _, q := range EnclosurePoints(cfg.Seed+80, queries) {
-			ios += coldIOs(tr, func() { exp.TopK(q, k) })
+			ios += coldIOs(tr, func() { exp.TopK(nil, q, k) })
 		}
 		el := time.Since(start)
 		avg := float64(ios) / float64(queries)
@@ -132,7 +132,7 @@ func runE9(w io.Writer, cfg Config) error {
 		var ios int64
 		start := time.Now()
 		for _, q := range DominanceQueries(cfg.Seed+90, queries) {
-			ios += coldIOs(tr, func() { exp.TopK(q, k) })
+			ios += coldIOs(tr, func() { exp.TopK(nil, q, k) })
 		}
 		el := time.Since(start)
 		avg := float64(ios) / float64(queries)
@@ -179,13 +179,13 @@ func runE10(w io.Writer, cfg Config) error {
 		var eS, bS, eL, bL int64
 		start := time.Now()
 		for _, q := range Halfplanes(cfg.Seed+100, queries) {
-			eS += coldIOs(tr, func() { exp.TopK(q, kSmall) })
-			eL += coldIOs(tr, func() { exp.TopK(q, kLarge) })
+			eS += coldIOs(tr, func() { exp.TopK(nil, q, kSmall) })
+			eL += coldIOs(tr, func() { exp.TopK(nil, q, kLarge) })
 		}
 		el := time.Since(start)
 		for _, q := range Halfplanes(cfg.Seed+100, queries) {
-			bS += coldIOs(trB, func() { base.TopK(q, kSmall) })
-			bL += coldIOs(trB, func() { base.TopK(q, kLarge) })
+			bS += coldIOs(trB, func() { base.TopK(nil, q, kSmall) })
+			bL += coldIOs(trB, func() { base.TopK(nil, q, kLarge) })
 		}
 		qn := float64(queries)
 		t.row(n, float64(eS)/qn, float64(bS)/qn, float64(eL)/qn, float64(bL)/qn,
@@ -253,11 +253,11 @@ func runE11(w io.Writer, cfg Config) error {
 		var priIOs, topIOs, emIOs int64
 		for _, q := range queriesQ {
 			priIOs += coldIOs(trPri, func() {
-				kd.ReportAbove(q, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
+				kd.ReportAbove(nil, q, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
 			})
-			topIOs += coldIOs(trTop, func() { wc.TopK(q, k) })
+			topIOs += coldIOs(trTop, func() { wc.TopK(nil, q, k) })
 			emIOs += coldIOs(trEM, func() {
-				em55.ReportAbove(q, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
+				em55.ReportAbove(nil, q, math.Inf(-1), func(core.Item[halfspace.PtN]) bool { return true })
 			})
 		}
 		qPri := float64(priIOs) / float64(queries)
@@ -300,7 +300,7 @@ func runE12(w io.Writer, cfg Config) error {
 		start := time.Now()
 		for qi := 0; qi < queries; qi++ {
 			center := []float64{float64(qi%7-3) * 4, float64(qi%5-2) * 4}
-			ios += coldIOs(tr, func() { exp.TopK(circular.Ball{Center: center, R: 8}, k) })
+			ios += coldIOs(tr, func() { exp.TopK(nil, circular.Ball{Center: center, R: 8}, k) })
 		}
 		el := time.Since(start)
 		avg := float64(ios) / float64(queries)

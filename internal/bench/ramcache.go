@@ -41,11 +41,11 @@ func runE17(w io.Writer, cfg Config) error {
 		for _, q := range qs {
 			tr.DropCache()
 			tr.ResetCounters()
-			exp.TopK(q, k)
+			exp.TopK(nil, q, k)
 			cold += tr.Stats().IOs()
 			// Same query again: whatever fits in memory is free now.
 			tr.ResetCounters()
-			exp.TopK(q, k)
+			exp.TopK(nil, q, k)
 			st := tr.Stats()
 			warm += st.IOs()
 			hits += st.Hits
@@ -90,7 +90,7 @@ func runE18(w io.Writer, cfg Config) error {
 			qs := StabPoints(cfg.Seed+180, queries)
 			start := time.Now()
 			for _, q := range qs {
-				exp.TopK(q, k)
+				exp.TopK(nil, q, k)
 			}
 			return us(start, queries)
 		}},
@@ -109,7 +109,7 @@ func runE18(w io.Writer, cfg Config) error {
 			qs := StabPoints(cfg.Seed+181, queries)
 			start := time.Now()
 			for _, q := range qs {
-				exp.TopK(rangerep.Span{Lo: q, Hi: q + 20}, k)
+				exp.TopK(nil, rangerep.Span{Lo: q, Hi: q + 20}, k)
 			}
 			return us(start, queries)
 		}},
@@ -124,7 +124,7 @@ func runE18(w io.Writer, cfg Config) error {
 			qs := EnclosurePoints(cfg.Seed+182, queries)
 			start := time.Now()
 			for _, q := range qs {
-				exp.TopK(q, k)
+				exp.TopK(nil, q, k)
 			}
 			return us(start, queries)
 		}},
@@ -139,7 +139,7 @@ func runE18(w io.Writer, cfg Config) error {
 			qs := DominanceQueries(cfg.Seed+183, queries)
 			start := time.Now()
 			for _, q := range qs {
-				exp.TopK(q, k)
+				exp.TopK(nil, q, k)
 			}
 			return us(start, queries)
 		}},
@@ -154,7 +154,7 @@ func runE18(w io.Writer, cfg Config) error {
 			qs := Halfplanes(cfg.Seed+184, queries)
 			start := time.Now()
 			for _, q := range qs {
-				exp.TopK(q, k)
+				exp.TopK(nil, q, k)
 			}
 			return us(start, queries)
 		}},
@@ -182,7 +182,7 @@ func runE18(w io.Writer, cfg Config) error {
 			qs := Halfspaces(cfg.Seed+185, queries, 4)
 			start := time.Now()
 			for _, q := range qs {
-				exp.TopK(q, k)
+				exp.TopK(nil, q, k)
 			}
 			return us(start, queries)
 		}},

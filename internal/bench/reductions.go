@@ -83,8 +83,8 @@ func runE4(w io.Writer, cfg Config) error {
 		var priIOs, topIOs int64
 		for _, q := range qs {
 			tau := ivTopKOracle(items, q, k)
-			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](tree, q, tau) })
-			topIOs += coldIOs(trTop, func() { wc.TopK(q, k) })
+			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](nil, tree, q, tau) })
+			topIOs += coldIOs(trTop, func() { wc.TopK(nil, q, k) })
 		}
 		qPri := float64(priIOs) / float64(queries)
 		qTop := float64(topIOs) / float64(queries)
@@ -141,9 +141,9 @@ func runE5(w io.Writer, cfg Config) error {
 		var priIOs, maxIOs, topIOs int64
 		for _, q := range qs {
 			tau := ivTopKOracle(items, q, k)
-			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](tree, q, tau) })
-			maxIOs += coldIOs(trMax, func() { sm.MaxItem(q) })
-			topIOs += coldIOs(trTop, func() { exp.TopK(q, k) })
+			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](nil, tree, q, tau) })
+			maxIOs += coldIOs(trMax, func() { sm.MaxItem(nil, q) })
+			topIOs += coldIOs(trTop, func() { exp.TopK(nil, q, k) })
 		}
 		qPri := float64(priIOs) / float64(queries)
 		qMax := float64(maxIOs) / float64(queries)
@@ -204,11 +204,11 @@ func runE6(w io.Writer, cfg Config) error {
 	for _, k := range ks {
 		var bIOs, cIOs, wIOs, eIOs, sIOs int64
 		for _, q := range qs {
-			bIOs += coldIOs(trBase, func() { base.TopK(q, k) })
-			cIOs += coldIOs(trCnt, func() { cb.TopK(q, k) })
-			wIOs += coldIOs(trWC, func() { wc.TopK(q, k) })
-			eIOs += coldIOs(trExp, func() { exp.TopK(q, k) })
-			sIOs += coldIOs(trScan, func() { scan.TopK(q, k) })
+			bIOs += coldIOs(trBase, func() { base.TopK(nil, q, k) })
+			cIOs += coldIOs(trCnt, func() { cb.TopK(nil, q, k) })
+			wIOs += coldIOs(trWC, func() { wc.TopK(nil, q, k) })
+			eIOs += coldIOs(trExp, func() { exp.TopK(nil, q, k) })
+			sIOs += coldIOs(trScan, func() { scan.TopK(nil, q, k) })
 		}
 		q := float64(queries)
 		t.row(k, float64(k)/benchB, float64(bIOs)/q, float64(cIOs)/q, float64(wIOs)/q, float64(eIOs)/q, float64(sIOs)/q)
@@ -389,8 +389,8 @@ func runE15(w io.Writer, cfg Config) error {
 		var priIOs, topIOs int64
 		for _, q := range qs {
 			tau := ivTopKOracle(items, q, k)
-			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](hardTree, q, tau) })
-			topIOs += coldIOs(trTop, func() { wc.TopK(q, k) })
+			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](nil, hardTree, q, tau) })
+			topIOs += coldIOs(trTop, func() { wc.TopK(nil, q, k) })
 		}
 		qPri := float64(priIOs) / float64(queries)
 		qTop := float64(topIOs) / float64(queries)
@@ -409,11 +409,11 @@ type surchargedPri struct {
 	extraIOs int64
 }
 
-func (s *surchargedPri) ReportAbove(q float64, tau float64, emit func(core.Item[interval.Interval]) bool) {
+func (s *surchargedPri) ReportAbove(v *em.QueryView, q float64, tau float64, emit func(core.Item[interval.Interval]) bool) {
 	if s.extraIOs > 0 {
-		s.tr.ScanCost(int(s.extraIOs) * s.tr.B())
+		s.tr.ScanCost(v, int(s.extraIOs)*s.tr.B())
 	}
-	s.inner.ReportAbove(q, tau, emit)
+	s.inner.ReportAbove(v, q, tau, emit)
 }
 
 // E16 — round geometry of the Theorem 2 query algorithm: per-round failure
@@ -436,7 +436,7 @@ func runE16(w io.Writer, cfg Config) error {
 	}
 	qs := StabPoints(cfg.Seed+160, queries)
 	for _, q := range qs {
-		exp.TopK(q, 200)
+		exp.TopK(nil, q, 200)
 	}
 	st := exp.Stats()
 	t := newTable("rounds", "queries", "fraction")

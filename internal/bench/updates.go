@@ -126,7 +126,7 @@ func runE25(w io.Writer, cfg Config) error {
 				ups++
 			} else {
 				x := g.Float64() * 100
-				qIOs += coldIOs(tr, func() { ov.TopK(x, 10) })
+				qIOs += coldIOs(tr, func() { ov.TopK(nil, x, 10) })
 				qs++
 			}
 		}

@@ -19,14 +19,14 @@ func TestStaticIndexPredecessor(t *testing.T) {
 		{0.5, -1}, {1, 0}, {2, 0}, {3, 1}, {8.9, 3}, {9, 4}, {100, 4},
 	}
 	for _, c := range cases {
-		if got := s.PredecessorIdx(c.x); got != c.want {
+		if got := s.PredecessorIdx(nil, c.x); got != c.want {
 			t.Errorf("PredecessorIdx(%v) = %d, want %d", c.x, got, c.want)
 		}
 	}
-	if _, ok := s.Predecessor(0.5); ok {
+	if _, ok := s.Predecessor(nil, 0.5); ok {
 		t.Error("Predecessor(0.5) found a key")
 	}
-	if k, ok := s.Predecessor(6); !ok || k != 5 {
+	if k, ok := s.Predecessor(nil, 6); !ok || k != 5 {
 		t.Errorf("Predecessor(6) = %v,%v want 5,true", k, ok)
 	}
 }
@@ -41,7 +41,7 @@ func TestStaticIndexSuccessor(t *testing.T) {
 		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {5, 2}, {6, 3},
 	}
 	for _, c := range cases {
-		if got := s.SuccessorIdx(c.x); got != c.want {
+		if got := s.SuccessorIdx(nil, c.x); got != c.want {
 			t.Errorf("SuccessorIdx(%v) = %d, want %d", c.x, got, c.want)
 		}
 	}
@@ -60,7 +60,7 @@ func TestStaticIndexLargeAgainstOracle(t *testing.T) {
 		} else {
 			want--
 		}
-		if got := s.PredecessorIdx(x); got != want {
+		if got := s.PredecessorIdx(nil, x); got != want {
 			t.Fatalf("PredecessorIdx(%v) = %d, want %d", x, got, want)
 		}
 	}
@@ -74,7 +74,7 @@ func TestStaticIndexIOCost(t *testing.T) {
 	s := NewStaticIndex(keys, tr)
 	tr.DropCache()
 	tr.ResetCounters()
-	s.PredecessorIdx(5e8)
+	s.PredecessorIdx(nil, 5e8)
 	ios := tr.Stats().IOs()
 	// 2^16 keys at B=64: leaf level 1024 blocks, level1 16 blocks, level2
 	// 1 block -> 3 levels -> 3 reads from a cold cache.
@@ -98,10 +98,10 @@ func TestStaticIndexPanicsOnUnsorted(t *testing.T) {
 
 func TestStaticIndexEmpty(t *testing.T) {
 	s := NewStaticIndex(nil, nil)
-	if got := s.PredecessorIdx(5); got != -1 {
+	if got := s.PredecessorIdx(nil, 5); got != -1 {
 		t.Errorf("empty index PredecessorIdx = %d, want -1", got)
 	}
-	if got := s.SuccessorIdx(5); got != 0 {
+	if got := s.SuccessorIdx(nil, 5); got != 0 {
 		t.Errorf("empty index SuccessorIdx = %d, want 0", got)
 	}
 }

@@ -60,13 +60,13 @@ func (m *Map[V]) freeNode(n *mnode[V]) {
 
 func (m *Map[V]) read(n *mnode[V]) {
 	if m.tracker != nil {
-		m.tracker.Read(n.id)
+		m.tracker.Read(nil, n.id)
 	}
 }
 
 func (m *Map[V]) write(n *mnode[V]) {
 	if m.tracker != nil {
-		m.tracker.Write(n.id)
+		m.tracker.Write(nil, n.id)
 	}
 }
 

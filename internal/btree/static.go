@@ -70,20 +70,21 @@ func (s *StaticIndex) Key(i int) float64 { return s.keys[i] }
 // read-only; it is the index's backing storage.
 func (s *StaticIndex) Keys() []float64 { return s.keys }
 
-// charge reads the block of level l containing position i.
-func (s *StaticIndex) charge(l, i int) {
+// charge reads the block of level l containing position i, charging v.
+func (s *StaticIndex) charge(v *em.QueryView, l, i int) {
 	if s.tracker == nil || s.first[l] == 0 {
 		return
 	}
-	s.tracker.Read(s.first[l] + em.BlockID(i/s.perBlk))
+	s.tracker.Read(v, s.first[l]+em.BlockID(i/s.perBlk))
 }
 
 // PredecessorIdx returns the largest i with keys[i] ≤ x, or -1. The search
-// descends the index hierarchy, charging one block per level.
-func (s *StaticIndex) PredecessorIdx(x float64) int {
+// descends the index hierarchy, charging v (nil: the shared path) one
+// block per level.
+func (s *StaticIndex) PredecessorIdx(v *em.QueryView, x float64) int {
 	if len(s.keys) == 0 || x < s.keys[0] {
 		if len(s.levels) > 0 && len(s.keys) > 0 {
-			s.charge(len(s.levels)-1, 0)
+			s.charge(v, len(s.levels)-1, 0)
 		}
 		return -1
 	}
@@ -97,7 +98,7 @@ func (s *StaticIndex) PredecessorIdx(x float64) int {
 		if hi > len(lvl) {
 			hi = len(lvl)
 		}
-		s.charge(l, pos)
+		s.charge(v, l, pos)
 		// Largest index in [pos, hi) with lvl[idx] ≤ x.
 		j := sort.Search(hi-pos, func(i int) bool { return lvl[pos+i] > x }) - 1
 		idx := pos + j
@@ -110,8 +111,8 @@ func (s *StaticIndex) PredecessorIdx(x float64) int {
 }
 
 // Predecessor returns the largest key ≤ x.
-func (s *StaticIndex) Predecessor(x float64) (float64, bool) {
-	i := s.PredecessorIdx(x)
+func (s *StaticIndex) Predecessor(v *em.QueryView, x float64) (float64, bool) {
+	i := s.PredecessorIdx(v, x)
 	if i < 0 {
 		return 0, false
 	}
@@ -119,8 +120,8 @@ func (s *StaticIndex) Predecessor(x float64) (float64, bool) {
 }
 
 // SuccessorIdx returns the smallest i with keys[i] ≥ x, or len(keys).
-func (s *StaticIndex) SuccessorIdx(x float64) int {
-	i := s.PredecessorIdx(x)
+func (s *StaticIndex) SuccessorIdx(v *em.QueryView, x float64) int {
+	i := s.PredecessorIdx(v, x)
 	if i >= 0 && s.keys[i] == x {
 		return i
 	}

@@ -99,13 +99,13 @@ func (ix *DirectIndex) N() int { return ix.kd.N() }
 
 // ReportAbove implements core.Prioritized[Ball, halfspace.PtN] over
 // unlifted points.
-func (ix *DirectIndex) ReportAbove(q Ball, tau float64, emit func(core.Item[halfspace.PtN]) bool) {
-	ix.kd.ReportAboveBox(q, tau, emit)
+func (ix *DirectIndex) ReportAbove(v *em.QueryView, q Ball, tau float64, emit func(core.Item[halfspace.PtN]) bool) {
+	ix.kd.ReportAboveBox(v, q, tau, emit)
 }
 
 // MaxItem implements core.Max[Ball, halfspace.PtN] over unlifted points.
-func (ix *DirectIndex) MaxItem(q Ball) (core.Item[halfspace.PtN], bool) {
-	return ix.kd.MaxItemBox(q)
+func (ix *DirectIndex) MaxItem(v *em.QueryView, q Ball) (core.Item[halfspace.PtN], bool) {
+	return ix.kd.MaxItemBox(v, q)
 }
 
 // Lift maps a d-dimensional point to its (d+1)-dimensional lift.
@@ -189,13 +189,13 @@ func NewIndexFromItems(items []core.Item[halfspace.PtN], d int, tracker *em.Trac
 func (ix *Index) N() int { return ix.kd.N() }
 
 // ReportAbove implements core.Prioritized[Ball, halfspace.PtN].
-func (ix *Index) ReportAbove(q Ball, tau float64, emit func(core.Item[halfspace.PtN]) bool) {
-	ix.kd.ReportAbove(LiftBall(q), tau, emit)
+func (ix *Index) ReportAbove(v *em.QueryView, q Ball, tau float64, emit func(core.Item[halfspace.PtN]) bool) {
+	ix.kd.ReportAbove(v, LiftBall(q), tau, emit)
 }
 
 // MaxItem implements core.Max[Ball, halfspace.PtN].
-func (ix *Index) MaxItem(q Ball) (core.Item[halfspace.PtN], bool) {
-	return ix.kd.MaxItem(LiftBall(q))
+func (ix *Index) MaxItem(v *em.QueryView, q Ball) (core.Item[halfspace.PtN], bool) {
+	return ix.kd.MaxItem(v, LiftBall(q))
 }
 
 // NewPrioritizedFactory adapts the index to the reduction factory

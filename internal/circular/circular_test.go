@@ -89,7 +89,7 @@ func TestIndexAgainstOracle(t *testing.T) {
 			tau := g.Float64() * 1.2e6
 
 			var got []core.Item[halfspace.PtN]
-			ix.ReportAbove(b, tau, func(it core.Item[halfspace.PtN]) bool {
+			ix.ReportAbove(nil, b, tau, func(it core.Item[halfspace.PtN]) bool {
 				got = append(got, it)
 				return true
 			})
@@ -114,7 +114,7 @@ func TestIndexAgainstOracle(t *testing.T) {
 				}
 			}
 
-			gm, gok := ix.MaxItem(b)
+			gm, gok := ix.MaxItem(nil, b)
 			if anyB != gok || (gok && gm.Weight != bestW) {
 				t.Fatalf("d=%d: max (%v,%v), want (%v,%v)", d, gm.Weight, gok, bestW, anyB)
 			}
@@ -145,7 +145,7 @@ func TestFactories(t *testing.T) {
 	m := NewMaxFactory(2, nil)(items)
 	b := randBall(g, 2)
 	count := 0
-	p.ReportAbove(b, math.Inf(-1), func(it core.Item[halfspace.PtN]) bool {
+	p.ReportAbove(nil, b, math.Inf(-1), func(it core.Item[halfspace.PtN]) bool {
 		if !Match(b, it.Value) {
 			t.Fatalf("factory emitted non-matching item")
 		}
@@ -161,7 +161,7 @@ func TestFactories(t *testing.T) {
 	if count != want {
 		t.Fatalf("factory prioritized: %d, want %d", count, want)
 	}
-	if _, ok := m.MaxItem(b); ok != (want > 0) {
+	if _, ok := m.MaxItem(nil, b); ok != (want > 0) {
 		t.Fatal("factory max disagrees with oracle emptiness")
 	}
 }
@@ -186,8 +186,8 @@ func TestDirectIndexAgainstLifted(t *testing.T) {
 			tau := g.Float64() * 1.2e6
 
 			countL, countD := 0, 0
-			lifted.ReportAbove(b, tau, func(core.Item[halfspace.PtN]) bool { countL++; return true })
-			direct.ReportAbove(b, tau, func(it core.Item[halfspace.PtN]) bool {
+			lifted.ReportAbove(nil, b, tau, func(core.Item[halfspace.PtN]) bool { countL++; return true })
+			direct.ReportAbove(nil, b, tau, func(it core.Item[halfspace.PtN]) bool {
 				if !b.Contains(it.Value.C) || it.Weight < tau {
 					t.Fatalf("direct emitted out-of-range item")
 				}
@@ -198,8 +198,8 @@ func TestDirectIndexAgainstLifted(t *testing.T) {
 				t.Fatalf("d=%d: lifted reported %d, direct %d", d, countL, countD)
 			}
 
-			ml, okl := lifted.MaxItem(b)
-			md, okd := direct.MaxItem(b)
+			ml, okl := lifted.MaxItem(nil, b)
+			md, okd := direct.MaxItem(nil, b)
 			if okl != okd || (okl && ml.Weight != md.Weight) {
 				t.Fatalf("d=%d: lifted max (%v,%v), direct (%v,%v)", d, ml.Weight, okl, md.Weight, okd)
 			}

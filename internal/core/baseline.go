@@ -61,7 +61,7 @@ func (b *Baseline[Q, V]) Prioritized() Prioritized[Q, V] { return b.pri }
 // ranks, for the smallest rank r such that q(D) contains at least k
 // elements of weight ≥ weights[r-1]; each probe is a prioritized query
 // cost-monitored at k elements.
-func (b *Baseline[Q, V]) TopK(q Q, k int) []Item[V] {
+func (b *Baseline[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 	n := len(b.weights)
 	if k <= 0 || n == 0 {
 		return nil
@@ -73,9 +73,9 @@ func (b *Baseline[Q, V]) TopK(q Q, k int) []Item[V] {
 	atLeastK := func(r int) bool {
 		b.probes.Add(1)
 		if b.tracker != nil {
-			b.tracker.ScanCost(1) // the rank→weight array probe
+			b.tracker.ScanCost(v, 1) // the rank→weight array probe
 		}
-		_, complete := CollectAtMost(b.pri, q, b.weights[r-1], k-1)
+		_, complete := CollectAtMost(v, b.pri, q, b.weights[r-1], k-1)
 		return !complete
 	}
 	lo, hi := 1, n
@@ -92,13 +92,13 @@ func (b *Baseline[Q, V]) TopK(q Q, k int) []Item[V] {
 		// Minimality of lo gives |{e ∈ q(D) : w(e) ≥ weights[lo-1]}| = k
 		// exactly (lowering the threshold by one global rank adds at most
 		// one element).
-		cand, _ = CollectAtMost(b.pri, q, b.weights[lo-1], k)
+		cand, _ = CollectAtMost(v, b.pri, q, b.weights[lo-1], k)
 	} else {
 		// |q(D)| < k: report everything.
-		cand = CollectAll(b.pri, q, math.Inf(-1))
+		cand = CollectAll(v, b.pri, q, math.Inf(-1))
 	}
 	if b.tracker != nil {
-		b.tracker.ScanCost(len(cand))
+		b.tracker.ScanCost(v, len(cand))
 	}
 	return TopKOf(cand, k)
 }
@@ -120,9 +120,9 @@ func NewScan[Q, V any](items []Item[V], match MatchFunc[Q, V], tracker *em.Track
 }
 
 // TopK scans D and k-selects.
-func (s *Scan[Q, V]) TopK(q Q, k int) []Item[V] {
+func (s *Scan[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 	if s.tracker != nil {
-		s.tracker.ScanCost(len(s.items))
+		s.tracker.ScanCost(v, len(s.items))
 	}
 	col := xsort.NewCollector(k, LessItems[V])
 	for _, it := range s.items {
@@ -134,9 +134,9 @@ func (s *Scan[Q, V]) TopK(q Q, k int) []Item[V] {
 }
 
 // ReportAbove scans D and filters.
-func (s *Scan[Q, V]) ReportAbove(q Q, tau float64, emit func(Item[V]) bool) {
+func (s *Scan[Q, V]) ReportAbove(v *em.QueryView, q Q, tau float64, emit func(Item[V]) bool) {
 	if s.tracker != nil {
-		s.tracker.ScanCost(len(s.items))
+		s.tracker.ScanCost(v, len(s.items))
 	}
 	for _, it := range s.items {
 		if it.Weight >= tau && s.match(q, it.Value) {
@@ -148,9 +148,9 @@ func (s *Scan[Q, V]) ReportAbove(q Q, tau float64, emit func(Item[V]) bool) {
 }
 
 // MaxItem scans D for the heaviest match.
-func (s *Scan[Q, V]) MaxItem(q Q) (Item[V], bool) {
+func (s *Scan[Q, V]) MaxItem(v *em.QueryView, q Q) (Item[V], bool) {
 	if s.tracker != nil {
-		s.tracker.ScanCost(len(s.items))
+		s.tracker.ScanCost(v, len(s.items))
 	}
 	best, ok := Item[V]{Weight: math.Inf(-1)}, false
 	for _, it := range s.items {
@@ -184,11 +184,11 @@ func NewPrioritizedFromTopK[Q, V any](top TopK[Q, V], k0 int) *PrioritizedFromTo
 
 // ReportAbove emits every item satisfying q with weight ≥ tau, heaviest
 // first.
-func (p *PrioritizedFromTopK[Q, V]) ReportAbove(q Q, tau float64, emit func(Item[V]) bool) {
+func (p *PrioritizedFromTopK[Q, V]) ReportAbove(v *em.QueryView, q Q, tau float64, emit func(Item[V]) bool) {
 	k := p.k0
 	emitted := 0
 	for {
-		res := p.top.TopK(q, k)
+		res := p.top.TopK(v, q, k)
 		for _, it := range res[emitted:] {
 			if it.Weight < tau {
 				return

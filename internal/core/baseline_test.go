@@ -18,7 +18,7 @@ func TestBaselineMatchesOracle(t *testing.T) {
 		lo := g.Float64() * 100
 		q := span{lo, lo + g.Float64()*60}
 		for _, k := range []int{1, 3, 17, 256, 2000, 4000, 8000} {
-			sameItems(t, b.TopK(q, k), oracleTopK(items, q, k), "baseline topk")
+			sameItems(t, b.TopK(nil, q, k), oracleTopK(items, q, k), "baseline topk")
 		}
 	}
 }
@@ -33,7 +33,7 @@ func TestBaselineProbeCountIsLogarithmic(t *testing.T) {
 	const queries = 20
 	for i := 0; i < queries; i++ {
 		lo := g.Float64() * 80
-		b.TopK(span{lo, lo + 20}, 10)
+		b.TopK(nil, span{lo, lo + 20}, 10)
 	}
 	perQuery := float64(b.Probes()) / queries
 	// Binary search over n ranks: ~log2(n)+1 probes plus the final one.
@@ -50,13 +50,13 @@ func TestBaselineEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.TopK(span{0, 100}, 0); got != nil {
+	if got := b.TopK(nil, span{0, 100}, 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
-	if got := b.TopK(span{900, 999}, 5); len(got) != 0 {
+	if got := b.TopK(nil, span{900, 999}, 5); len(got) != 0 {
 		t.Fatalf("empty result returned %v", got)
 	}
-	got := b.TopK(span{0, 100}, 1000)
+	got := b.TopK(nil, span{0, 100}, 1000)
 	if len(got) != len(items) {
 		t.Fatalf("k≫n returned %d items, want %d", len(got), len(items))
 	}
@@ -64,7 +64,7 @@ func TestBaselineEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := empty.TopK(span{0, 1}, 3); len(got) != 0 {
+	if got := empty.TopK(nil, span{0, 1}, 3); len(got) != 0 {
 		t.Fatalf("empty structure returned %v", got)
 	}
 	if _, err := NewBaseline([]Item[float64]{{1, 5}, {2, 5}}, naiveFactory, nil); err == nil {
@@ -78,11 +78,11 @@ func TestScanOracle(t *testing.T) {
 	s := NewScan(items, spanMatch, nil)
 	q := span{10, 60}
 
-	sameItems(t, s.TopK(q, 7), oracleTopK(items, q, 7), "scan topk")
+	sameItems(t, s.TopK(nil, q, 7), oracleTopK(items, q, 7), "scan topk")
 
 	// Prioritized semantics.
 	var got []Item[float64]
-	s.ReportAbove(q, 500, func(it Item[float64]) bool {
+	s.ReportAbove(nil, q, 500, func(it Item[float64]) bool {
 		got = append(got, it)
 		return true
 	})
@@ -102,7 +102,7 @@ func TestScanOracle(t *testing.T) {
 	}
 
 	// Max semantics.
-	mx, ok := s.MaxItem(q)
+	mx, ok := s.MaxItem(nil, q)
 	wantTop := oracleTopK(items, q, 1)
 	if len(wantTop) == 0 {
 		if ok {
@@ -114,7 +114,7 @@ func TestScanOracle(t *testing.T) {
 
 	// Early termination.
 	count := 0
-	s.ReportAbove(q, math.Inf(-1), func(Item[float64]) bool {
+	s.ReportAbove(nil, q, math.Inf(-1), func(Item[float64]) bool {
 		count++
 		return count < 3
 	})
@@ -134,14 +134,14 @@ func TestPrioritizedFromTopK(t *testing.T) {
 		q := span{lo, lo + g.Float64()*40}
 		tau := g.Float64() * 1000
 		var got []Item[float64]
-		p.ReportAbove(q, tau, func(it Item[float64]) bool {
+		p.ReportAbove(nil, q, tau, func(it Item[float64]) bool {
 			got = append(got, it)
 			return true
 		})
 		// Results must be exactly the oracle's prioritized answer,
 		// heaviest first.
 		var want []Item[float64]
-		oracle.ReportAbove(q, tau, func(it Item[float64]) bool {
+		oracle.ReportAbove(nil, q, tau, func(it Item[float64]) bool {
 			want = append(want, it)
 			return true
 		})
@@ -151,7 +151,7 @@ func TestPrioritizedFromTopK(t *testing.T) {
 
 	// Early stop must not over-enumerate.
 	count := 0
-	p.ReportAbove(span{0, 100}, math.Inf(-1), func(Item[float64]) bool {
+	p.ReportAbove(nil, span{0, 100}, math.Inf(-1), func(Item[float64]) bool {
 		count++
 		return count < 5
 	})

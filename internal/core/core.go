@@ -31,6 +31,7 @@ import (
 	"math"
 	"sort"
 
+	"topk/internal/em"
 	"topk/internal/xsort"
 )
 
@@ -50,6 +51,11 @@ func SortByWeightDesc[V any](items []Item[V]) {
 	sort.Slice(items, func(i, j int) bool { return items[i].Weight > items[j].Weight })
 }
 
+// Every query method below takes the query's em.QueryView first: the
+// structure charges its I/Os and trace spans to that view, and passes it
+// on to every structure it queries in turn. A nil view charges the
+// tracker's shared path.
+
 // Prioritized is a structure answering prioritized-reporting queries.
 //
 // ReportAbove must call emit once for each item e satisfying q with
@@ -58,20 +64,20 @@ func SortByWeightDesc[V any](items []Item[V]) {
 // paper's contract is a cost of Q_pri(n) + O(t/B) where t is the number of
 // emitted items.
 type Prioritized[Q, V any] interface {
-	ReportAbove(q Q, tau float64, emit func(Item[V]) bool)
+	ReportAbove(v *em.QueryView, q Q, tau float64, emit func(Item[V]) bool)
 }
 
 // Max is a structure answering max-reporting (top-1) queries in Q_max(n).
 type Max[Q, V any] interface {
 	// MaxItem returns the heaviest item satisfying q; ok is false when
 	// q(D) is empty.
-	MaxItem(q Q) (item Item[V], ok bool)
+	MaxItem(v *em.QueryView, q Q) (item Item[V], ok bool)
 }
 
 // TopK is a structure answering top-k queries. The result is
 // weight-descending and has min(k, |q(D)|) items.
 type TopK[Q, V any] interface {
-	TopK(q Q, k int) []Item[V]
+	TopK(v *em.QueryView, q Q, k int) []Item[V]
 }
 
 // Updatable is the dynamic interface required from building blocks plugged
@@ -121,9 +127,9 @@ type DynamicMaxFactory[Q, V any] func(items []Item[V]) DynamicMax[Q, V]
 // (at most limit+1) and whether the query terminated by itself, i.e.
 // complete == true means the returned items are all of {e ∈ q(D) :
 // w(e) ≥ tau}.
-func CollectAtMost[Q, V any](p Prioritized[Q, V], q Q, tau float64, limit int) (items []Item[V], complete bool) {
+func CollectAtMost[Q, V any](v *em.QueryView, p Prioritized[Q, V], q Q, tau float64, limit int) (items []Item[V], complete bool) {
 	complete = true
-	p.ReportAbove(q, tau, func(it Item[V]) bool {
+	p.ReportAbove(v, q, tau, func(it Item[V]) bool {
 		items = append(items, it)
 		if len(items) > limit {
 			complete = false
@@ -135,9 +141,9 @@ func CollectAtMost[Q, V any](p Prioritized[Q, V], q Q, tau float64, limit int) (
 }
 
 // CollectAll drains a prioritized query with no cap.
-func CollectAll[Q, V any](p Prioritized[Q, V], q Q, tau float64) []Item[V] {
+func CollectAll[Q, V any](v *em.QueryView, p Prioritized[Q, V], q Q, tau float64) []Item[V] {
 	var items []Item[V]
-	p.ReportAbove(q, tau, func(it Item[V]) bool {
+	p.ReportAbove(v, q, tau, func(it Item[V]) bool {
 		items = append(items, it)
 		return true
 	})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"topk/internal/em"
 	"topk/internal/wrand"
 )
 
@@ -40,7 +41,7 @@ func newNaive(items []Item[float64]) *naive {
 	return n
 }
 
-func (n *naive) ReportAbove(q span, tau float64, emit func(Item[float64]) bool) {
+func (n *naive) ReportAbove(_ *em.QueryView, q span, tau float64, emit func(Item[float64]) bool) {
 	for _, it := range n.items {
 		if it.Weight >= tau && spanMatch(q, it.Value) {
 			if !emit(it) {
@@ -50,7 +51,7 @@ func (n *naive) ReportAbove(q span, tau float64, emit func(Item[float64]) bool) 
 	}
 }
 
-func (n *naive) MaxItem(q span) (Item[float64], bool) {
+func (n *naive) MaxItem(_ *em.QueryView, q span) (Item[float64], bool) {
 	best, ok := Item[float64]{Weight: math.Inf(-1)}, false
 	for _, it := range n.items {
 		if spanMatch(q, it.Value) && it.Weight > best.Weight {
@@ -106,19 +107,19 @@ func TestCollectAtMost(t *testing.T) {
 	p := newNaive(items)
 	q := span{0, 100}
 
-	got, complete := CollectAtMost[span, float64](p, q, math.Inf(-1), 10)
+	got, complete := CollectAtMost[span, float64](nil, p, q, math.Inf(-1), 10)
 	if !complete || len(got) != 4 {
 		t.Fatalf("uncapped: complete=%v len=%d, want true,4", complete, len(got))
 	}
-	got, complete = CollectAtMost[span, float64](p, q, math.Inf(-1), 3)
+	got, complete = CollectAtMost[span, float64](nil, p, q, math.Inf(-1), 3)
 	if complete || len(got) != 4 {
 		t.Fatalf("capped at 3: complete=%v len=%d, want false,4 (limit+1 collected)", complete, len(got))
 	}
-	got, complete = CollectAtMost[span, float64](p, q, 25, 10)
+	got, complete = CollectAtMost[span, float64](nil, p, q, 25, 10)
 	if !complete || len(got) != 2 {
 		t.Fatalf("tau=25: complete=%v len=%d, want true,2", complete, len(got))
 	}
-	got, complete = CollectAtMost[span, float64](p, q, math.Inf(-1), 4)
+	got, complete = CollectAtMost[span, float64](nil, p, q, math.Inf(-1), 4)
 	if !complete || len(got) != 4 {
 		t.Fatalf("limit=n: complete=%v len=%d, want true,4", complete, len(got))
 	}

@@ -26,10 +26,10 @@ import (
 // from an optimistic descent by filling the shortfall from the lighter
 // sibling, preserving correctness for any over-approximation.
 
-// Counting answers (approximate) counting queries: Count must return a
-// value in [|q(S)|, c·|q(S)|] for a constant c ≥ 1.
+// Counting answers (approximate) counting queries, charging its I/Os to
+// v: Count must return a value in [|q(S)|, c·|q(S)|] for a constant c ≥ 1.
 type Counting[Q any] interface {
-	Count(q Q) int
+	Count(v *em.QueryView, q Q) int
 }
 
 // CountingFactory builds a counting structure over a subset of items.
@@ -101,27 +101,27 @@ func (c *CountingBaseline[Q, V]) N() int { return c.n }
 func (c *CountingBaseline[Q, V]) CountQueries() int64 { return c.countQueries.Load() }
 
 // TopK answers a top-k query, weight-descending.
-func (c *CountingBaseline[Q, V]) TopK(q Q, k int) []Item[V] {
+func (c *CountingBaseline[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 	if k <= 0 || c.root == nil {
 		return nil
 	}
 	var out []Item[V]
-	c.collect(c.root, q, k, &out)
+	c.collect(v, c.root, q, k, &out)
 	if c.tracker != nil {
-		c.tracker.ScanCost(len(out))
+		c.tracker.ScanCost(v, len(out))
 	}
 	return TopKOf(out, k)
 }
 
 // collect gathers at least min(k, |q(subtree)|) of the heaviest satisfying
 // items of the subtree into out, returning how many it added.
-func (c *CountingBaseline[Q, V]) collect(nd *cbNode[Q, V], q Q, k int, out *[]Item[V]) int {
+func (c *CountingBaseline[Q, V]) collect(v *em.QueryView, nd *cbNode[Q, V], q Q, k int, out *[]Item[V]) int {
 	if nd == nil || k <= 0 {
 		return 0
 	}
 	if nd.heavy == nil { // single-item node: report it if it satisfies q
 		added := 0
-		nd.rep.ReportAbove(q, math.Inf(-1), func(it Item[V]) bool {
+		nd.rep.ReportAbove(v, q, math.Inf(-1), func(it Item[V]) bool {
 			*out = append(*out, it)
 			added++
 			return true
@@ -130,20 +130,20 @@ func (c *CountingBaseline[Q, V]) collect(nd *cbNode[Q, V], q Q, k int, out *[]It
 	}
 	c.countQueries.Add(2) // this probe plus the heavy child's
 	got := 0
-	if nd.heavy.cnt.Count(q) >= k {
+	if nd.heavy.cnt.Count(v, q) >= k {
 		// The (possibly over-approximate) count promises enough heavy
 		// items; on a shortfall, fall through to the lighter child.
-		got = c.collect(nd.heavy, q, k, out)
+		got = c.collect(v, nd.heavy, q, k, out)
 	} else {
 		// Cheaper to drain the heavy child entirely.
-		nd.heavy.rep.ReportAbove(q, math.Inf(-1), func(it Item[V]) bool {
+		nd.heavy.rep.ReportAbove(v, q, math.Inf(-1), func(it Item[V]) bool {
 			*out = append(*out, it)
 			got++
 			return true
 		})
 	}
 	if got < k {
-		got += c.collect(nd.light, q, k-got, out)
+		got += c.collect(v, nd.light, q, k-got, out)
 	}
 	return got
 }

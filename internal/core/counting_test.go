@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"topk/internal/em"
 	"topk/internal/wrand"
 )
 
@@ -11,7 +12,7 @@ type naiveCount struct {
 	items []Item[float64]
 }
 
-func (n *naiveCount) Count(q span) int {
+func (n *naiveCount) Count(_ *em.QueryView, q span) int {
 	c := 0
 	for _, it := range n.items {
 		if spanMatch(q, it.Value) {
@@ -27,7 +28,7 @@ type overCount struct {
 	naiveCount
 }
 
-func (o *overCount) Count(q span) int { return 2 * o.naiveCount.Count(q) }
+func (o *overCount) Count(v *em.QueryView, q span) int { return 2 * o.naiveCount.Count(v, q) }
 
 func buildCounting(t *testing.T, items []Item[float64], approx bool) *CountingBaseline[span, float64] {
 	t.Helper()
@@ -56,7 +57,7 @@ func TestCountingBaselineMatchesOracle(t *testing.T) {
 			lo := g.Float64() * 100
 			q := span{lo, lo + g.Float64()*50}
 			for _, k := range []int{1, 7, 100, 1500, 5000} {
-				got := cb.TopK(q, k)
+				got := cb.TopK(nil, q, k)
 				want := oracleTopK(items, q, k)
 				sameItems(t, got, want, "counting baseline")
 			}
@@ -71,7 +72,7 @@ func TestCountingBaselineProbesLogarithmic(t *testing.T) {
 	const queries = 30
 	for i := 0; i < queries; i++ {
 		lo := g.Float64() * 90
-		cb.TopK(span{lo, lo + 10}, 10)
+		cb.TopK(nil, span{lo, lo + 10}, 10)
 	}
 	perQuery := float64(cb.CountQueries()) / queries
 	// The descent issues ~2 counting probes per level over ~13 levels
@@ -85,13 +86,13 @@ func TestCountingBaselineEdgeCases(t *testing.T) {
 	g := wrand.New(83)
 	items := genItems(g, 60)
 	cb := buildCounting(t, items, false)
-	if got := cb.TopK(span{0, 100}, 0); got != nil {
+	if got := cb.TopK(nil, span{0, 100}, 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
-	if got := cb.TopK(span{500, 600}, 5); len(got) != 0 {
+	if got := cb.TopK(nil, span{500, 600}, 5); len(got) != 0 {
 		t.Fatalf("empty result returned %v", got)
 	}
-	got := cb.TopK(span{0, 100}, 999)
+	got := cb.TopK(nil, span{0, 100}, 999)
 	if len(got) != len(items) {
 		t.Fatalf("k≫n returned %d items", len(got))
 	}
@@ -101,7 +102,7 @@ func TestCountingBaselineEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := empty.TopK(span{0, 1}, 3); got != nil {
+	if got := empty.TopK(nil, span{0, 1}, 3); got != nil {
 		t.Fatalf("empty structure returned %v", got)
 	}
 	if _, err := NewCountingBaseline([]Item[float64]{{1, 5}, {2, 5}},

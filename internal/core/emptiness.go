@@ -24,9 +24,10 @@ import (
 // powers approximate rank; here a hierarchy of emptiness structures powers
 // exact max.)
 
-// Emptiness answers "is there any element satisfying q?" over a fixed set.
+// Emptiness answers "is there any element satisfying q?" over a fixed set,
+// charging its I/Os to v.
 type Emptiness[Q any] interface {
-	NonEmpty(q Q) bool
+	NonEmpty(v *em.QueryView, q Q) bool
 }
 
 // EmptinessFactory builds an emptiness structure over a subset of items.
@@ -83,13 +84,13 @@ func (m *MaxFromEmptiness[Q, V]) build(sorted []Item[V], newEmpt EmptinessFactor
 }
 
 // MaxItem returns the heaviest item satisfying q.
-func (m *MaxFromEmptiness[Q, V]) MaxItem(q Q) (Item[V], bool) {
+func (m *MaxFromEmptiness[Q, V]) MaxItem(v *em.QueryView, q Q) (Item[V], bool) {
 	nd := m.root
-	if nd == nil || !m.probe(nd, q) {
+	if nd == nil || !m.probe(v, nd, q) {
 		return Item[V]{}, false
 	}
 	for nd.heavy != nil {
-		if m.probe(nd.heavy, q) {
+		if m.probe(v, nd.heavy, q) {
 			nd = nd.heavy
 		} else {
 			nd = nd.light
@@ -98,9 +99,9 @@ func (m *MaxFromEmptiness[Q, V]) MaxItem(q Q) (Item[V], bool) {
 	return nd.item, true
 }
 
-func (m *MaxFromEmptiness[Q, V]) probe(nd *meNode[Q, V], q Q) bool {
+func (m *MaxFromEmptiness[Q, V]) probe(v *em.QueryView, nd *meNode[Q, V], q Q) bool {
 	m.emptinessQueries.Add(1)
-	return nd.empt.NonEmpty(q)
+	return nd.empt.NonEmpty(v, q)
 }
 
 // EmptinessQueries returns the number of NonEmpty probes issued so far.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"topk/internal/em"
 	"topk/internal/wrand"
 )
 
@@ -10,7 +11,7 @@ type naiveEmpt struct {
 	items []Item[float64]
 }
 
-func (n *naiveEmpt) NonEmpty(q span) bool {
+func (n *naiveEmpt) NonEmpty(_ *em.QueryView, q span) bool {
 	for _, it := range n.items {
 		if spanMatch(q, it.Value) {
 			return true
@@ -32,7 +33,7 @@ func TestMaxFromEmptinessMatchesOracle(t *testing.T) {
 		lo := g.Float64() * 110
 		q := span{lo, lo + g.Float64()*20}
 		want := oracleTopK(items, q, 1)
-		got, ok := m.MaxItem(q)
+		got, ok := m.MaxItem(nil, q)
 		if len(want) == 0 {
 			if ok {
 				t.Fatalf("q=%+v: found %+v in empty result", q, got)
@@ -54,7 +55,7 @@ func TestMaxFromEmptinessProbeCount(t *testing.T) {
 	const queries = 50
 	for i := 0; i < queries; i++ {
 		lo := g.Float64() * 90
-		m.MaxItem(span{lo, lo + 10})
+		m.MaxItem(nil, span{lo, lo + 10})
 	}
 	perQuery := float64(m.EmptinessQueries()) / queries
 	if perQuery > 2*12+3 {
@@ -66,17 +67,17 @@ func TestMaxFromEmptinessEmptyAndSingleton(t *testing.T) {
 	m := NewMaxFromEmptiness(nil, func(sub []Item[float64]) Emptiness[span] {
 		return &naiveEmpt{items: sub}
 	}, nil)
-	if _, ok := m.MaxItem(span{0, 1}); ok {
+	if _, ok := m.MaxItem(nil, span{0, 1}); ok {
 		t.Fatal("empty structure found a max")
 	}
 	one := []Item[float64]{{Value: 5, Weight: 9}}
 	m = NewMaxFromEmptiness(one, func(sub []Item[float64]) Emptiness[span] {
 		return &naiveEmpt{items: sub}
 	}, nil)
-	if it, ok := m.MaxItem(span{4, 6}); !ok || it.Weight != 9 {
+	if it, ok := m.MaxItem(nil, span{4, 6}); !ok || it.Weight != 9 {
 		t.Fatalf("singleton MaxItem = %+v,%v", it, ok)
 	}
-	if _, ok := m.MaxItem(span{6, 7}); ok {
+	if _, ok := m.MaxItem(nil, span{6, 7}); ok {
 		t.Fatal("singleton matched a non-containing query")
 	}
 }

@@ -220,8 +220,8 @@ func (e *Expected[Q, V]) build(
 
 func (e *Expected[Q, V]) rebuild() {
 	e.stats.Rebuilds++
-	sp := e.opts.Tracker.BeginSpan()
-	defer e.opts.Tracker.EndSpan(sp, PhaseT2Rebuild, -1, int64(len(e.items)))
+	sp := e.opts.Tracker.BeginSpan(nil)
+	defer e.opts.Tracker.EndSpan(nil, sp, PhaseT2Rebuild, -1, int64(len(e.items)))
 	e.build(
 		func(d []Item[V]) Prioritized[Q, V] {
 			dp := e.newPri(d)
@@ -274,8 +274,9 @@ func (e *Expected[Q, V]) Items() []Item[V] {
 // TopK answers a top-k query by the round algorithm of Section 4. The
 // result is weight-descending with min(k, |q(D)|) items. When the tracker
 // has a trace sink, each round, probe, max lookup and harvest is emitted
-// as a span carrying its I/O delta (phases.go).
-func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
+// as a span carrying its I/O delta (phases.go). Every charge and span goes
+// to v (nil: the shared path).
+func (e *Expected[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 	e.qstats.queries.Add(1)
 	n := len(e.items)
 	if k <= 0 || n == 0 {
@@ -294,9 +295,9 @@ func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
 	// O(n/B) = O(k/B).
 	if len(e.levels) == 0 || float64(kq) > e.levels[len(e.levels)-1].k {
 		e.qstats.naiveScans.Add(1)
-		sp := tr.BeginSpan()
-		res := e.scanTopK(q, k)
-		tr.EndSpan(sp, PhaseT2Scan, -1, int64(n))
+		sp := tr.BeginSpan(v)
+		res := e.scanTopK(v, q, k)
+		tr.EndSpan(v, sp, PhaseT2Scan, -1, int64(n))
 		return res
 	}
 
@@ -311,47 +312,47 @@ func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
 		rounds++
 		lvl := &e.levels[j]
 		cap4K := int(4 * lvl.k)
-		rsp := tr.BeginSpan()
+		rsp := tr.BeginSpan(v)
 
 		// Step 1: if |q(D)| ≤ 4K_j the cost-monitored query solves it.
-		sp := tr.BeginSpan()
-		cand, complete := CollectAtMost(e.pri, q, math.Inf(-1), cap4K)
-		tr.EndSpan(sp, probePhase(complete), j, int64(len(cand)))
+		sp := tr.BeginSpan(v)
+		cand, complete := CollectAtMost(v, e.pri, q, math.Inf(-1), cap4K)
+		tr.EndSpan(v, sp, probePhase(complete), j, int64(len(cand)))
 		if complete {
-			e.chargeScan(len(cand))
-			tr.EndSpan(rsp, PhaseT2RoundDirect, j, int64(rounds))
+			e.chargeScan(v, len(cand))
+			tr.EndSpan(v, rsp, PhaseT2RoundDirect, j, int64(rounds))
 			e.finishRounds(rounds)
 			return TopKOf(cand, k)
 		}
 
 		// Step 2: heaviest sampled element in q(R_j).
 		tau := math.Inf(-1)
-		sp = tr.BeginSpan()
-		if it, ok := lvl.max.MaxItem(q); ok {
+		sp = tr.BeginSpan(v)
+		if it, ok := lvl.max.MaxItem(v, q); ok {
 			tau = it.Weight
 		}
-		tr.EndSpan(sp, PhaseT2Max, j, 0)
+		tr.EndSpan(v, sp, PhaseT2Max, j, 0)
 		if math.IsInf(tau, -1) {
 			// Empty q(R_j): the τ = −∞ probe would repeat step 1's
 			// capped query and fail; skip straight to the next round.
-			tr.EndSpan(rsp, PhaseT2RoundEmpty, j, int64(rounds))
+			tr.EndSpan(v, rsp, PhaseT2RoundEmpty, j, int64(rounds))
 			continue
 		}
 
 		// Step 3: cost-monitored harvest above τ.
-		sp = tr.BeginSpan()
-		s, complete := CollectAtMost(e.pri, q, tau, cap4K)
-		tr.EndSpan(sp, harvestPhase(complete), j, int64(len(s)))
+		sp = tr.BeginSpan(v)
+		s, complete := CollectAtMost(v, e.pri, q, tau, cap4K)
+		tr.EndSpan(v, sp, harvestPhase(complete), j, int64(len(s)))
 
 		// Step 4: failure tests.
 		if !complete || len(s) <= int(lvl.k) {
-			tr.EndSpan(rsp, PhaseT2RoundFail, j, int64(rounds))
+			tr.EndSpan(v, rsp, PhaseT2RoundFail, j, int64(rounds))
 			continue
 		}
 
 		// Step 5: success — k-selection over S.
-		e.chargeScan(len(s))
-		tr.EndSpan(rsp, PhaseT2RoundOK, j, int64(rounds))
+		e.chargeScan(v, len(s))
+		tr.EndSpan(v, rsp, PhaseT2RoundOK, j, int64(rounds))
 		e.finishRounds(rounds)
 		return TopKOf(s, k)
 	}
@@ -359,9 +360,9 @@ func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
 	// Step 6(b): ladder exhausted; read the whole D.
 	e.qstats.naiveScans.Add(1)
 	e.finishRounds(rounds)
-	sp := tr.BeginSpan()
-	res := e.scanTopK(q, k)
-	tr.EndSpan(sp, PhaseT2Scan, -1, int64(n))
+	sp := tr.BeginSpan(v)
+	res := e.scanTopK(v, q, k)
+	tr.EndSpan(v, sp, PhaseT2Scan, -1, int64(n))
 	return res
 }
 
@@ -391,8 +392,8 @@ func (e *Expected[Q, V]) finishRounds(r int) {
 	e.qstats.roundHist[idx].Add(1)
 }
 
-func (e *Expected[Q, V]) scanTopK(q Q, k int) []Item[V] {
-	e.chargeScan(len(e.items))
+func (e *Expected[Q, V]) scanTopK(v *em.QueryView, q Q, k int) []Item[V] {
+	e.chargeScan(v, len(e.items))
 	col := xsort.NewCollector(k, LessItems[V])
 	for _, it := range e.items {
 		if e.match(q, it.Value) {
@@ -402,9 +403,9 @@ func (e *Expected[Q, V]) scanTopK(q Q, k int) []Item[V] {
 	return col.Items()
 }
 
-func (e *Expected[Q, V]) chargeScan(nItems int) {
+func (e *Expected[Q, V]) chargeScan(v *em.QueryView, nItems int) {
 	if e.opts.Tracker != nil {
-		e.opts.Tracker.ScanCost(nItems)
+		e.opts.Tracker.ScanCost(v, nItems)
 	}
 }
 

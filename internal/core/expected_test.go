@@ -35,7 +35,7 @@ func TestExpectedMatchesOracle(t *testing.T) {
 		lo := g.Float64() * 100
 		q := span{lo, lo + g.Float64()*60}
 		for _, k := range []int{1, 2, 7, 64, 500, 3000, 6000, 9000} {
-			got := e.TopK(q, k)
+			got := e.TopK(nil, q, k)
 			want := oracleTopK(items, q, k)
 			sameItems(t, got, want, "expected topk")
 		}
@@ -61,13 +61,13 @@ func TestExpectedLadderShape(t *testing.T) {
 func TestExpectedEmptyAndEdge(t *testing.T) {
 	g := wrand.New(23)
 	e, items := buildExp(t, g, 800, ExpectedOptions{B: 2, Seed: 5})
-	if got := e.TopK(span{500, 600}, 5); len(got) != 0 {
+	if got := e.TopK(nil, span{500, 600}, 5); len(got) != 0 {
 		t.Fatalf("empty-range query returned %d items", len(got))
 	}
-	if got := e.TopK(span{0, 100}, 0); got != nil {
+	if got := e.TopK(nil, span{0, 100}, 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
-	got := e.TopK(span{0, 100}, len(items)*2)
+	got := e.TopK(nil, span{0, 100}, len(items)*2)
 	if len(got) != len(items) {
 		t.Fatalf("k≫n returned %d, want %d", len(got), len(items))
 	}
@@ -107,7 +107,7 @@ func TestDynamicExpectedInsertDelete(t *testing.T) {
 			lo := g.Float64() * 100
 			q := span{lo, lo + g.Float64()*50}
 			for _, k := range []int{1, 10, 300} {
-				sameItems(t, e.TopK(q, k), oracleTopK(live, q, k), ctx)
+				sameItems(t, e.TopK(nil, q, k), oracleTopK(live, q, k), ctx)
 			}
 		}
 	}
@@ -174,7 +174,7 @@ func TestDynamicExpectedRebuilds(t *testing.T) {
 	}
 	// Rebuild must preserve correctness.
 	q := span{0, 100}
-	got := e.TopK(q, 5)
+	got := e.TopK(nil, q, 5)
 	if len(got) != 5 || got[0].Weight != 10999 {
 		t.Fatalf("post-rebuild top-5 = %+v", got)
 	}
@@ -186,7 +186,7 @@ func TestExpectedRoundHistogram(t *testing.T) {
 	queries := 0
 	for trial := 0; trial < 100; trial++ {
 		lo := g.Float64() * 80
-		e.TopK(span{lo, lo + 20}, 1+g.IntN(100))
+		e.TopK(nil, span{lo, lo + 20}, 1+g.IntN(100))
 		queries++
 	}
 	st := e.Stats()

@@ -54,7 +54,7 @@ func TestQuickDynamicExpectedAgainstOracle(t *testing.T) {
 				lo := float64(o.A) / 2.56
 				q := span{lo, lo + float64(o.B)/4}
 				k := 1 + int(o.B)%20
-				got := exp.TopK(q, k)
+				got := exp.TopK(nil, q, k)
 				want := oracleTopK(append([]Item[float64](nil), live...), q, k)
 				if len(got) != len(want) {
 					return false
@@ -87,7 +87,7 @@ func TestQuickWorstCasePrefixProperty(t *testing.T) {
 		lo := float64(loRaw) / 2.56
 		q := span{lo, lo + float64(widthRaw)/8}
 		k := 1 + int(kRaw)%300
-		top := wc.TopK(q, k)
+		top := wc.TopK(nil, q, k)
 		// Every reported item must satisfy the predicate and the list
 		// must be strictly descending.
 		for i, it := range top {

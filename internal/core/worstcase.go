@@ -227,8 +227,9 @@ func (w *WorstCase[Q, V]) Prioritized() Prioritized[Q, V] { return w.chain.level
 // TopK answers a top-k query (§3.2). The result is weight-descending with
 // min(k, |q(D)|) items. When the tracker has a trace sink, each chain
 // level, probe, harvest and fallback is emitted as a span carrying its
-// I/O delta (phases.go).
-func (w *WorstCase[Q, V]) TopK(q Q, k int) []Item[V] {
+// I/O delta (phases.go). Every charge and span goes to v (nil: the shared
+// path).
+func (w *WorstCase[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 	w.qstats.queries.Add(1)
 	if k <= 0 || len(w.items) == 0 {
 		return nil
@@ -237,22 +238,22 @@ func (w *WorstCase[Q, V]) TopK(q Q, k int) []Item[V] {
 
 	// k ≥ n/2: scan the entire D in O(n/B) = O(k/B) I/Os.
 	if k >= n/2 {
-		return w.tracedScanTopK(q, k)
+		return w.tracedScanTopK(v, q, k)
 	}
 	// k ≤ f: answer as a top-f query followed by k-selection.
 	if k <= w.f {
-		top := w.chain.topF(q)
+		top := w.chain.topF(v, q)
 		if k < len(top) {
 			top = top[:k]
 		}
 		return top
 	}
-	return w.largeK(q, k)
+	return w.largeK(v, q, k)
 }
 
 // largeK answers queries with f < k < n/2 via the ladder (§3.2, "queries
 // with k > f").
-func (w *WorstCase[Q, V]) largeK(q Q, k int) []Item[V] {
+func (w *WorstCase[Q, V]) largeK(v *em.QueryView, q Q, k int) []Item[V] {
 	n := len(w.items)
 	priD := w.chain.levels[0].pri
 
@@ -266,16 +267,16 @@ func (w *WorstCase[Q, V]) largeK(q Q, k int) []Item[V] {
 	if bigK < k {
 		// Ladder exhausted (can happen only for k close to n/2 with a
 		// degenerate ladder); scanning is within the O(k/B) budget.
-		return w.tracedScanTopK(q, k)
+		return w.tracedScanTopK(v, q, k)
 	}
 	tr := w.opts.Tracker
 
 	// If |q(D)| ≤ 4K, a cost-monitored prioritized query solves it.
-	sp := tr.BeginSpan()
-	cand, complete := CollectAtMost(priD, q, math.Inf(-1), 4*bigK)
-	tr.EndSpan(sp, t1ProbePhase(complete), -1, int64(len(cand)))
+	sp := tr.BeginSpan(v)
+	cand, complete := CollectAtMost(v, priD, q, math.Inf(-1), 4*bigK)
+	tr.EndSpan(v, sp, t1ProbePhase(complete), -1, int64(len(cand)))
 	if complete {
-		w.chargeScan(len(cand))
+		w.chargeScan(v, len(cand))
 		return TopKOf(cand, k)
 	}
 
@@ -283,37 +284,37 @@ func (w *WorstCase[Q, V]) largeK(q Q, k int) []Item[V] {
 	// structure, then harvest from D above the pivot's weight.
 	chain := w.ladder[i]
 	r := pivotRank(n, w.opts.Lambda)
-	top := chain.topF(q)
+	top := chain.topF(v, q)
 	if len(top) < r {
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(priD, q, k)
+		return w.tracedExhaustive(v, priD, q, k)
 	}
 	pivot := top[r-1].Weight
-	sp = tr.BeginSpan()
-	got, cnt := w.harvest(priD, q, pivot, k)
-	tr.EndSpan(sp, PhaseT1Harvest, -1, int64(cnt))
+	sp = tr.BeginSpan(v)
+	got, cnt := w.harvest(v, priD, q, pivot, k)
+	tr.EndSpan(v, sp, PhaseT1Harvest, -1, int64(cnt))
 	if cnt < k {
 		// The pivot landed above rank k in q(D) (sample failure): the
 		// harvested set may miss part of the answer.
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(priD, q, k)
+		return w.tracedExhaustive(v, priD, q, k)
 	}
 	return got
 }
 
 // tracedScanTopK / tracedExhaustive wrap the two repair/fallback paths in
 // their trace spans (no-ops when tracing is off).
-func (w *WorstCase[Q, V]) tracedScanTopK(q Q, k int) []Item[V] {
-	sp := w.opts.Tracker.BeginSpan()
-	res := w.scanTopK(q, k)
-	w.opts.Tracker.EndSpan(sp, PhaseT1Scan, -1, int64(len(w.items)))
+func (w *WorstCase[Q, V]) tracedScanTopK(v *em.QueryView, q Q, k int) []Item[V] {
+	sp := w.opts.Tracker.BeginSpan(v)
+	res := w.scanTopK(v, q, k)
+	w.opts.Tracker.EndSpan(v, sp, PhaseT1Scan, -1, int64(len(w.items)))
 	return res
 }
 
-func (w *WorstCase[Q, V]) tracedExhaustive(p Prioritized[Q, V], q Q, k int) []Item[V] {
-	sp := w.opts.Tracker.BeginSpan()
-	res := w.exhaustive(p, q, k)
-	w.opts.Tracker.EndSpan(sp, PhaseT1Fallback, -1, int64(k))
+func (w *WorstCase[Q, V]) tracedExhaustive(v *em.QueryView, p Prioritized[Q, V], q Q, k int) []Item[V] {
+	sp := w.opts.Tracker.BeginSpan(v)
+	res := w.exhaustive(v, p, q, k)
+	w.opts.Tracker.EndSpan(v, sp, PhaseT1Fallback, -1, int64(k))
 	return res
 }
 
@@ -326,29 +327,29 @@ func t1ProbePhase(complete bool) string {
 
 // topF answers a top-f query on the chain (the inductive algorithm of
 // §3.2), returning min(f, |q(R_0)|) items weight-descending.
-func (c *topfChain[Q, V]) topF(q Q) []Item[V] {
-	return c.query(q, 0)
+func (c *topfChain[Q, V]) topF(v *em.QueryView, q Q) []Item[V] {
+	return c.query(v, q, 0)
 }
 
 // query wraps one level's work in its PhaseT1Level trace span; the
 // level's probe/harvest/fallback spans (and the recursive deeper levels)
 // nest inside it, so a query's depth-0 spans partition its total cost.
-func (c *topfChain[Q, V]) query(q Q, j int) []Item[V] {
+func (c *topfChain[Q, V]) query(v *em.QueryView, q Q, j int) []Item[V] {
 	w := c.owner
-	sp := w.opts.Tracker.BeginSpan()
-	res := c.queryLevel(q, j)
-	w.opts.Tracker.EndSpan(sp, PhaseT1Level, j, int64(len(c.levels[j].items)))
+	sp := w.opts.Tracker.BeginSpan(v)
+	res := c.queryLevel(v, q, j)
+	w.opts.Tracker.EndSpan(v, sp, PhaseT1Level, j, int64(len(c.levels[j].items)))
 	return res
 }
 
-func (c *topfChain[Q, V]) queryLevel(q Q, j int) []Item[V] {
+func (c *topfChain[Q, V]) queryLevel(v *em.QueryView, q Q, j int) []Item[V] {
 	w := c.owner
 	tr := w.opts.Tracker
 	lvl := c.levels[j]
 	// Base case: scan the bottom core-set.
 	if j == len(c.levels)-1 {
 		w.qstats.chainScans.Add(1)
-		w.chargeScan(len(lvl.items))
+		w.chargeScan(v, len(lvl.items))
 		var hit []Item[V]
 		for _, it := range lvl.items {
 			if w.match(q, it.Value) {
@@ -359,11 +360,11 @@ func (c *topfChain[Q, V]) queryLevel(q Q, j int) []Item[V] {
 	}
 
 	// |q(R_j)| ≤ 4f ⇒ the cost-monitored query solves it directly.
-	sp := tr.BeginSpan()
-	cand, complete := CollectAtMost(lvl.pri, q, math.Inf(-1), 4*c.f)
-	tr.EndSpan(sp, t1ProbePhase(complete), j, int64(len(cand)))
+	sp := tr.BeginSpan(v)
+	cand, complete := CollectAtMost(v, lvl.pri, q, math.Inf(-1), 4*c.f)
+	tr.EndSpan(v, sp, t1ProbePhase(complete), j, int64(len(cand)))
 	if complete {
-		w.chargeScan(len(cand))
+		w.chargeScan(v, len(cand))
 		return TopKOf(cand, c.f)
 	}
 
@@ -372,18 +373,18 @@ func (c *topfChain[Q, V]) queryLevel(q Q, j int) []Item[V] {
 	if r > c.f {
 		r = c.f // Eq. (11) guarantees r ≤ f; clamp for degenerate params
 	}
-	sub := c.query(q, j+1)
+	sub := c.query(v, q, j+1)
 	if len(sub) < r {
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(lvl.pri, q, c.f)
+		return w.tracedExhaustive(v, lvl.pri, q, c.f)
 	}
 	pivot := sub[r-1].Weight
-	sp = tr.BeginSpan()
-	got, cnt := w.harvest(lvl.pri, q, pivot, c.f)
-	tr.EndSpan(sp, PhaseT1Harvest, j, int64(cnt))
+	sp = tr.BeginSpan(v)
+	got, cnt := w.harvest(v, lvl.pri, q, pivot, c.f)
+	tr.EndSpan(v, sp, PhaseT1Harvest, j, int64(cnt))
 	if cnt < c.f {
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(lvl.pri, q, c.f)
+		return w.tracedExhaustive(v, lvl.pri, q, c.f)
 	}
 	return got
 }
@@ -408,34 +409,34 @@ func pivotRank(n int, lambda float64) int {
 // k-bounded collector. It returns the top-k of that set (weight-descending)
 // and the total number streamed; cnt < k signals that the pivot was too
 // high (a sample failure the caller must repair).
-func (w *WorstCase[Q, V]) harvest(p Prioritized[Q, V], q Q, pivot float64, k int) (top []Item[V], cnt int) {
+func (w *WorstCase[Q, V]) harvest(v *em.QueryView, p Prioritized[Q, V], q Q, pivot float64, k int) (top []Item[V], cnt int) {
 	col := xsort.NewCollector(k, LessItems[V])
-	p.ReportAbove(q, pivot, func(it Item[V]) bool {
+	p.ReportAbove(v, q, pivot, func(it Item[V]) bool {
 		col.Offer(it)
 		cnt++
 		return true
 	})
-	w.chargeScan(cnt) // k-selection over the harvested batch
+	w.chargeScan(v, cnt) // k-selection over the harvested batch
 	return col.Items(), cnt
 }
 
 // exhaustive answers top-k by draining the prioritized structure with
 // τ = −∞. Correct unconditionally; used only on sample failures.
-func (w *WorstCase[Q, V]) exhaustive(p Prioritized[Q, V], q Q, k int) []Item[V] {
+func (w *WorstCase[Q, V]) exhaustive(v *em.QueryView, p Prioritized[Q, V], q Q, k int) []Item[V] {
 	col := xsort.NewCollector(k, LessItems[V])
 	n := 0
-	p.ReportAbove(q, math.Inf(-1), func(it Item[V]) bool {
+	p.ReportAbove(v, q, math.Inf(-1), func(it Item[V]) bool {
 		col.Offer(it)
 		n++
 		return true
 	})
-	w.chargeScan(n)
+	w.chargeScan(v, n)
 	return col.Items()
 }
 
 // scanTopK answers by scanning all of D (the k ≥ n/2 path).
-func (w *WorstCase[Q, V]) scanTopK(q Q, k int) []Item[V] {
-	w.chargeScan(len(w.items))
+func (w *WorstCase[Q, V]) scanTopK(v *em.QueryView, q Q, k int) []Item[V] {
+	w.chargeScan(v, len(w.items))
 	col := xsort.NewCollector(k, LessItems[V])
 	for _, it := range w.items {
 		if w.match(q, it.Value) {
@@ -445,8 +446,8 @@ func (w *WorstCase[Q, V]) scanTopK(q Q, k int) []Item[V] {
 	return col.Items()
 }
 
-func (w *WorstCase[Q, V]) chargeScan(nItems int) {
+func (w *WorstCase[Q, V]) chargeScan(v *em.QueryView, nItems int) {
 	if w.opts.Tracker != nil {
-		w.opts.Tracker.ScanCost(nItems)
+		w.opts.Tracker.ScanCost(v, nItems)
 	}
 }

@@ -30,7 +30,7 @@ func TestWorstCaseMatchesOracle(t *testing.T) {
 		lo := g.Float64() * 100
 		q := span{lo, lo + g.Float64()*60}
 		for _, k := range ks {
-			got := wc.TopK(q, k)
+			got := wc.TopK(nil, q, k)
 			want := oracleTopK(items, q, k)
 			sameItems(t, got, want, "worst-case topk")
 		}
@@ -41,16 +41,16 @@ func TestWorstCaseEmptyAndEdgeQueries(t *testing.T) {
 	g := wrand.New(2)
 	wc, items := buildWC(t, g, 500, WorstCaseOptions{B: 2, Lambda: 1, Seed: 3})
 
-	if got := wc.TopK(span{200, 300}, 5); len(got) != 0 {
+	if got := wc.TopK(nil, span{200, 300}, 5); len(got) != 0 {
 		t.Fatalf("empty-range query returned %d items", len(got))
 	}
-	if got := wc.TopK(span{0, 100}, 0); got != nil {
+	if got := wc.TopK(nil, span{0, 100}, 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
-	if got := wc.TopK(span{0, 100}, -3); got != nil {
+	if got := wc.TopK(nil, span{0, 100}, -3); got != nil {
 		t.Fatalf("k<0 returned %v", got)
 	}
-	got := wc.TopK(span{0, 100}, 10*len(items))
+	got := wc.TopK(nil, span{0, 100}, 10*len(items))
 	if len(got) != len(items) {
 		t.Fatalf("k≫n returned %d items, want all %d", len(got), len(items))
 	}
@@ -67,14 +67,14 @@ func TestWorstCaseSingletonAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := wc.TopK(span{0, 10}, 3); len(got) != 1 || got[0].Value != 5 {
+	if got := wc.TopK(nil, span{0, 10}, 3); len(got) != 1 || got[0].Value != 5 {
 		t.Fatalf("singleton query = %+v", got)
 	}
 	empty, err := NewWorstCase(nil, spanMatch, naiveFactory, WorstCaseOptions{B: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := empty.TopK(span{0, 10}, 3); len(got) != 0 {
+	if got := empty.TopK(nil, span{0, 10}, 3); len(got) != 0 {
 		t.Fatalf("empty structure returned %v", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestWorstCaseFallbackRepairsBadSamples(t *testing.T) {
 		lo := g.Float64() * 90
 		q := span{lo, lo + 10 + g.Float64()*50}
 		k := 1 + g.IntN(3*wc.F())
-		sameItems(t, wc.TopK(q, k), oracleTopK(items, q, k), "fallback repair")
+		sameItems(t, wc.TopK(nil, q, k), oracleTopK(items, q, k), "fallback repair")
 	}
 	if wc.Stats().Fallbacks == 0 {
 		t.Log("no fallbacks triggered; injection may need a smaller f (not a failure: answers were exact)")
@@ -152,7 +152,7 @@ func TestWorstCaseFallbacksAreRare(t *testing.T) {
 	wc, _ := buildWC(t, g, 20000, WorstCaseOptions{B: 2, Lambda: 1, Seed: 13})
 	for trial := 0; trial < 200; trial++ {
 		lo := g.Float64() * 90
-		wc.TopK(span{lo, lo + 10 + g.Float64()*40}, 1+g.IntN(200))
+		wc.TopK(nil, span{lo, lo + 10 + g.Float64()*40}, 1+g.IntN(200))
 	}
 	st := wc.Stats()
 	if st.Fallbacks > st.Queries/4 {

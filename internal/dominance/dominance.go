@@ -103,13 +103,14 @@ func NewMinZ(items []core.Item[Pt3], tracker *em.Tracker) *MinZ {
 // N returns the number of indexed points.
 func (m *MinZ) N() int { return len(m.xs) }
 
-// MinItem returns a point dominated by q with the minimal z-coordinate.
-func (m *MinZ) MinItem(q Pt3) (core.Item[Pt3], bool) {
+// MinItem returns a point dominated by q with the minimal z-coordinate,
+// charging v.
+func (m *MinZ) MinItem(v *em.QueryView, q Pt3) (core.Item[Pt3], bool) {
 	if m.tracker != nil {
-		m.tracker.PathCost(2*log2ceil(len(m.xs)) + 2)
+		m.tracker.PathCost(v, 2*log2ceil(len(m.xs))+2)
 	}
-	v := sort.Search(len(m.xs), func(i int) bool { return m.xs[i] > q.X })
-	_, fv, ok := m.versions[v].Floor(q.Y)
+	ver := sort.Search(len(m.xs), func(i int) bool { return m.xs[i] > q.X })
+	_, fv, ok := m.versions[ver].Floor(q.Y)
 	if !ok || fv.z > q.Z {
 		return core.Item[Pt3]{}, false
 	}
@@ -117,8 +118,8 @@ func (m *MinZ) MinItem(q Pt3) (core.Item[Pt3], bool) {
 }
 
 // NonEmpty implements core.Emptiness[Pt3].
-func (m *MinZ) NonEmpty(q Pt3) bool {
-	_, ok := m.MinItem(q)
+func (m *MinZ) NonEmpty(v *em.QueryView, q Pt3) bool {
+	_, ok := m.MinItem(v, q)
 	return ok
 }
 

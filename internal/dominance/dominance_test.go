@@ -75,7 +75,7 @@ func TestMinZAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 400; trial++ {
 		q := Pt3{g.Float64() * 110, g.Float64() * 110, g.Float64() * 110}
-		got, gok := m.MinItem(q)
+		got, gok := m.MinItem(nil, q)
 		want, wok := oracleMinZ(items, q)
 		if gok != wok {
 			t.Fatalf("q=%+v: ok=%v, want %v", q, gok, wok)
@@ -83,7 +83,7 @@ func TestMinZAgainstOracle(t *testing.T) {
 		if gok && got.Value.Z != want.Value.Z {
 			t.Fatalf("q=%+v: minZ=%v, want %v", q, got.Value.Z, want.Value.Z)
 		}
-		if gok != m.NonEmpty(q) {
+		if gok != m.NonEmpty(nil, q) {
 			t.Fatalf("NonEmpty disagrees with MinItem at %+v", q)
 		}
 	}
@@ -97,7 +97,7 @@ func TestMinZBoundaryQueries(t *testing.T) {
 	m := NewMinZ(items, nil)
 	for _, it := range items {
 		q := it.Value
-		got, ok := m.MinItem(q)
+		got, ok := m.MinItem(nil, q)
 		want, _ := oracleMinZ(items, q)
 		if !ok {
 			t.Fatalf("query at point %+v found nothing (the point dominates itself)", q)
@@ -110,15 +110,15 @@ func TestMinZBoundaryQueries(t *testing.T) {
 
 func TestMinZDegenerateInputs(t *testing.T) {
 	m := NewMinZ(nil, nil)
-	if m.NonEmpty(Pt3{1, 1, 1}) {
+	if m.NonEmpty(nil, Pt3{1, 1, 1}) {
 		t.Fatal("empty structure non-empty")
 	}
 	one := []core.Item[Pt3]{{Value: Pt3{5, 5, 5}, Weight: 1}}
 	m = NewMinZ(one, nil)
-	if !m.NonEmpty(Pt3{5, 5, 5}) {
+	if !m.NonEmpty(nil, Pt3{5, 5, 5}) {
 		t.Fatal("singleton not found at its own corner")
 	}
-	if m.NonEmpty(Pt3{4.999, 5, 5}) {
+	if m.NonEmpty(nil, Pt3{4.999, 5, 5}) {
 		t.Fatal("found point outside the x constraint")
 	}
 
@@ -132,7 +132,7 @@ func TestMinZDegenerateInputs(t *testing.T) {
 	m = NewMinZ(same, nil)
 	for trial := 0; trial < 50; trial++ {
 		q := Pt3{42, g.Float64() * 12, g.Float64() * 12}
-		_, gok := m.MinItem(q)
+		_, gok := m.MinItem(nil, q)
 		_, wok := oracleMinZ(same, q)
 		if gok != wok {
 			t.Fatalf("shared-x: q=%+v ok=%v want %v", q, gok, wok)
@@ -149,7 +149,7 @@ func TestMaxAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		q := Pt3{g.Float64() * 110, g.Float64() * 110, g.Float64() * 110}
-		got, gok := m.MaxItem(q)
+		got, gok := m.MaxItem(nil, q)
 		want, wok := oracleMax(items, q)
 		if gok != wok {
 			t.Fatalf("q=%+v: ok=%v, want %v", q, gok, wok)
@@ -187,7 +187,7 @@ func TestPrioritizedAgainstOracle(t *testing.T) {
 		q := Pt3{g.Float64() * 110, g.Float64() * 110, g.Float64() * 110}
 		tau := g.Float64() * 1.2e6
 		var got []core.Item[Pt3]
-		p.ReportAbove(q, tau, func(it core.Item[Pt3]) bool {
+		p.ReportAbove(nil, q, tau, func(it core.Item[Pt3]) bool {
 			got = append(got, it)
 			return true
 		})
@@ -211,12 +211,12 @@ func TestPrioritizedTauEdges(t *testing.T) {
 	q := Pt3{110, 110, 110} // everything matches spatially
 
 	count := 0
-	p.ReportAbove(q, math.Inf(-1), func(core.Item[Pt3]) bool { count++; return true })
+	p.ReportAbove(nil, q, math.Inf(-1), func(core.Item[Pt3]) bool { count++; return true })
 	if count != len(items) {
 		t.Fatalf("tau=-inf reported %d, want all %d", count, len(items))
 	}
 	count = 0
-	p.ReportAbove(q, math.Inf(1), func(core.Item[Pt3]) bool { count++; return true })
+	p.ReportAbove(nil, q, math.Inf(1), func(core.Item[Pt3]) bool { count++; return true })
 	if count != 0 {
 		t.Fatalf("tau=+inf reported %d, want 0", count)
 	}
@@ -225,7 +225,7 @@ func TestPrioritizedTauEdges(t *testing.T) {
 	core.SortByWeightDesc(sorted)
 	tau := sorted[10].Weight
 	count = 0
-	p.ReportAbove(q, tau, func(core.Item[Pt3]) bool { count++; return true })
+	p.ReportAbove(nil, q, tau, func(core.Item[Pt3]) bool { count++; return true })
 	if count != 11 {
 		t.Fatalf("tau at rank-11 weight reported %d, want 11", count)
 	}
@@ -236,7 +236,7 @@ func TestPrioritizedEarlyStop(t *testing.T) {
 	items := genPoints(g, 500)
 	p, _ := NewPrioritized(items, nil)
 	count := 0
-	p.ReportAbove(Pt3{110, 110, 110}, math.Inf(-1), func(core.Item[Pt3]) bool {
+	p.ReportAbove(nil, Pt3{110, 110, 110}, math.Inf(-1), func(core.Item[Pt3]) bool {
 		count++
 		return count < 7
 	})
@@ -256,7 +256,7 @@ func TestPrioritizedIOCharging(t *testing.T) {
 	tr.DropCache()
 	tr.ResetCounters()
 	count := 0
-	p.ReportAbove(Pt3{50, 50, 50}, math.Inf(-1), func(core.Item[Pt3]) bool { count++; return true })
+	p.ReportAbove(nil, Pt3{50, 50, 50}, math.Inf(-1), func(core.Item[Pt3]) bool { count++; return true })
 	ios := tr.Stats().IOs()
 	if count > 0 && ios == 0 {
 		t.Fatal("query charged no I/Os")

@@ -217,7 +217,7 @@ func queryX(nd *xnode, cnt int, q Pt3, emit func(core.Item[Pt3]) bool, visited *
 }
 
 // ReportAbove implements core.Prioritized[Pt3, Pt3].
-func (p *Prioritized) ReportAbove(q Pt3, tau float64, emit func(core.Item[Pt3]) bool) {
+func (p *Prioritized) ReportAbove(v *em.QueryView, q Pt3, tau float64, emit func(core.Item[Pt3]) bool) {
 	// visited is a per-query local (not a receiver field) so that any
 	// number of ReportAbove calls can run concurrently on one structure.
 	var visited int64
@@ -231,8 +231,8 @@ func (p *Prioritized) ReportAbove(q Pt3, tau float64, emit func(core.Item[Pt3]) 
 			if search < 0 {
 				search = 0
 			}
-			p.tracker.PathCost(search)
-			p.tracker.ScanCost(emitted)
+			p.tracker.PathCost(v, search)
+			p.tracker.ScanCost(v, emitted)
 		}
 	}()
 	// {w ≥ τ} is the prefix of byW before the first weight < τ.

@@ -470,15 +470,16 @@ func (o *Overlay[Q, V]) single() (*level[Q, V], bool) {
 // TopK answers a top-k query by merging per-level candidate sets with the
 // tail and tombstone-filtering: level j contributes its top-(k + dead_j)
 // matches, which necessarily include its k heaviest live ones. The result
-// is weight-descending with min(k, |q(D)|) items. Read-only.
-func (o *Overlay[Q, V]) TopK(q Q, k int) []core.Item[V] {
+// is weight-descending with min(k, |q(D)|) items. Read-only; every charge
+// and span goes to v (nil: the shared path).
+func (o *Overlay[Q, V]) TopK(v *em.QueryView, q Q, k int) []core.Item[V] {
 	if k <= 0 {
 		return nil
 	}
 	// Fast path: one substructure, no tail, no tombstones — the static
 	// shape; the substructure's own answer is the overlay's.
 	if lvl, only := o.single(); only && len(o.tail) == 0 && len(lvl.dead) == 0 {
-		return lvl.sub.TopK(q, k)
+		return lvl.sub.TopK(v, q, k)
 	}
 	tr := o.opts.Tracker
 	var cand []core.Item[V]
@@ -486,28 +487,28 @@ func (o *Overlay[Q, V]) TopK(q Q, k int) []core.Item[V] {
 		if lvl == nil {
 			continue
 		}
-		sp := tr.BeginSpan()
-		for _, it := range lvl.sub.TopK(q, k+len(lvl.dead)) {
+		sp := tr.BeginSpan(v)
+		for _, it := range lvl.sub.TopK(v, q, k+len(lvl.dead)) {
 			if _, gone := lvl.dead[it.Weight]; !gone {
 				cand = append(cand, it)
 			}
 		}
-		tr.EndSpan(sp, PhaseLevel, j, int64(len(lvl.dead)))
+		tr.EndSpan(v, sp, PhaseLevel, j, int64(len(lvl.dead)))
 	}
 	if len(o.tail) > 0 {
-		sp := tr.BeginSpan()
-		o.charge(len(o.tail))
+		sp := tr.BeginSpan(v)
+		o.charge(v, len(o.tail))
 		for _, it := range o.tail {
 			if o.match(q, it.Value) {
 				cand = append(cand, it)
 			}
 		}
-		tr.EndSpan(sp, PhaseTail, -1, int64(len(o.tail)))
+		tr.EndSpan(v, sp, PhaseTail, -1, int64(len(o.tail)))
 	}
-	sp := tr.BeginSpan()
-	o.charge(len(cand)) // final k-selection over the merged candidates
+	sp := tr.BeginSpan(v)
+	o.charge(v, len(cand)) // final k-selection over the merged candidates
 	res := core.TopKOf(cand, k)
-	tr.EndSpan(sp, PhaseSelect, -1, int64(len(cand)))
+	tr.EndSpan(v, sp, PhaseSelect, -1, int64(len(cand)))
 	return res
 }
 
@@ -516,14 +517,14 @@ func (o *Overlay[Q, V]) TopK(q Q, k int) []core.Item[V] {
 // stops the whole traversal. Read-only. This makes the overlay its own
 // prioritized structure, so facades can serve ReportAbove without a second
 // black box.
-func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bool) {
+func (o *Overlay[Q, V]) ReportAbove(v *em.QueryView, q Q, tau float64, emit func(core.Item[V]) bool) {
 	stopped := false
 	for _, lvl := range o.levels {
 		if lvl == nil || stopped {
 			continue
 		}
 		if lvl.pri != nil {
-			lvl.pri.ReportAbove(q, tau, func(it core.Item[V]) bool {
+			lvl.pri.ReportAbove(v, q, tau, func(it core.Item[V]) bool {
 				if _, gone := lvl.dead[it.Weight]; gone {
 					return true
 				}
@@ -535,7 +536,7 @@ func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bo
 			})
 			continue
 		}
-		o.charge(len(lvl.items))
+		o.charge(v, len(lvl.items))
 		for _, it := range lvl.items {
 			if stopped {
 				break
@@ -554,7 +555,7 @@ func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bo
 	if stopped || len(o.tail) == 0 {
 		return
 	}
-	o.charge(len(o.tail))
+	o.charge(v, len(o.tail))
 	for _, it := range o.tail {
 		if it.Weight >= tau && o.match(q, it.Value) {
 			if !emit(it) {
@@ -567,10 +568,10 @@ func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bo
 // Prioritized exposes the overlay's merged prioritized view (itself).
 func (o *Overlay[Q, V]) Prioritized() core.Prioritized[Q, V] { return o }
 
-// charge bills an O(n/B) scan to the tracker, if any.
-func (o *Overlay[Q, V]) charge(nItems int) {
+// charge bills an O(n/B) scan to v on the tracker, if any.
+func (o *Overlay[Q, V]) charge(v *em.QueryView, nItems int) {
 	if o.opts.Tracker != nil {
-		o.opts.Tracker.ScanCost(nItems)
+		o.opts.Tracker.ScanCost(v, nItems)
 	}
 }
 

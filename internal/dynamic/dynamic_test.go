@@ -27,7 +27,9 @@ func scanBuilder(tr *em.Tracker) Builder[float64, float64] {
 // and the overlay's scan fallback runs.
 type topkOnly struct{ inner core.TopK[float64, float64] }
 
-func (t topkOnly) TopK(q float64, k int) []core.Item[float64] { return t.inner.TopK(q, k) }
+func (t topkOnly) TopK(v *em.QueryView, q float64, k int) []core.Item[float64] {
+	return t.inner.TopK(v, q, k)
+}
 
 func item(v, w float64) core.Item[float64] { return core.Item[float64]{Value: v, Weight: w} }
 
@@ -101,7 +103,7 @@ func TestChurnVsOracle(t *testing.T) {
 		default: // query
 			q := rng.Float64() * 100
 			k := 1 + rng.IntN(5)
-			got := weightsOf(o.TopK(q, k))
+			got := weightsOf(o.TopK(nil, q, k))
 			sameWeights(t, got, ora.topK(q, k), "TopK")
 		}
 		if o.N() != len(ora) {
@@ -111,7 +113,7 @@ func TestChurnVsOracle(t *testing.T) {
 
 	// Final full sweep at several k, plus an Items snapshot check.
 	for _, k := range []int{1, 3, 17, len(ora) + 5} {
-		got := weightsOf(o.TopK(math.Inf(1), k))
+		got := weightsOf(o.TopK(nil, math.Inf(1), k))
 		sameWeights(t, got, ora.topK(math.Inf(1), k), "final TopK")
 	}
 	live := weightsOf(o.Items())
@@ -231,10 +233,10 @@ func TestDeleteThenReinsert(t *testing.T) {
 		t.Fatal("duplicate insert of live weight succeeded")
 	}
 	// Only the new copy (value 200, matching no small query) may be seen.
-	if got := weightsOf(o.TopK(100, 64)); len(got) != 63 {
+	if got := weightsOf(o.TopK(nil, 100, 64)); len(got) != 63 {
 		t.Fatalf("query over old value range returned %d items, want 63", len(got))
 	}
-	got := weightsOf(o.TopK(300, 64))
+	got := weightsOf(o.TopK(nil, 300, 64))
 	if len(got) != 64 || got[0] != 63 {
 		t.Fatalf("full query: %v", got)
 	}
@@ -273,13 +275,13 @@ func TestEmptyOverlay(t *testing.T) {
 	if o.N() != 0 || len(o.Items()) != 0 {
 		t.Fatal("empty overlay is not empty")
 	}
-	if got := o.TopK(10, 3); got != nil {
+	if got := o.TopK(nil, 10, 3); got != nil {
 		t.Fatalf("TopK on empty overlay: %v", got)
 	}
-	if got := o.TopK(10, 0); got != nil {
+	if got := o.TopK(nil, 10, 0); got != nil {
 		t.Fatalf("TopK with k=0: %v", got)
 	}
-	o.ReportAbove(10, 0, func(core.Item[float64]) bool {
+	o.ReportAbove(nil, 10, 0, func(core.Item[float64]) bool {
 		t.Fatal("ReportAbove emitted on empty overlay")
 		return false
 	})
@@ -321,7 +323,7 @@ func TestReportAboveStopAndFallback(t *testing.T) {
 			o.DeleteWeight(10)
 
 			seen := map[float64]bool{}
-			o.ReportAbove(math.Inf(1), 5, func(it core.Item[float64]) bool {
+			o.ReportAbove(nil, math.Inf(1), 5, func(it core.Item[float64]) bool {
 				if seen[it.Weight] {
 					t.Fatalf("weight %v emitted twice", it.Weight)
 				}
@@ -336,7 +338,7 @@ func TestReportAboveStopAndFallback(t *testing.T) {
 			}
 
 			calls := 0
-			o.ReportAbove(math.Inf(1), 0, func(core.Item[float64]) bool {
+			o.ReportAbove(nil, math.Inf(1), 0, func(core.Item[float64]) bool {
 				calls++
 				return false
 			})
@@ -367,6 +369,6 @@ func TestTopKOverfetchesPastTombstones(t *testing.T) {
 			t.Fatalf("delete %d", i)
 		}
 	}
-	got := weightsOf(o.TopK(math.Inf(1), 3))
+	got := weightsOf(o.TopK(nil, math.Inf(1), 3))
 	sameWeights(t, got, []float64{33, 32, 31}, "post-tombstone TopK")
 }

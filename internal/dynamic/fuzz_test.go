@@ -128,8 +128,8 @@ func FuzzOverlayPolicies(f *testing.F) {
 				k := int(u8(i+1))%8 + 1
 				i += 2
 				want := ora.topK(q, k)
-				sameWeights(t, weightsOf(lg.TopK(q, k)), want, "logarithmic TopK")
-				sameWeights(t, weightsOf(bf.TopK(q, k)), want, "buffered TopK")
+				sameWeights(t, weightsOf(lg.TopK(nil, q, k)), want, "logarithmic TopK")
+				sameWeights(t, weightsOf(bf.TopK(nil, q, k)), want, "buffered TopK")
 			}
 			if lg.N() != len(ora) || bf.N() != len(ora) {
 				t.Fatalf("N: logarithmic %d, buffered %d, oracle %d", lg.N(), bf.N(), len(ora))
@@ -143,8 +143,8 @@ func FuzzOverlayPolicies(f *testing.F) {
 		// Full sweep, then an export/restore round trip of both policies
 		// must preserve every answer.
 		wantAll := ora.topK(math.Inf(1), len(ora)+1)
-		sameWeights(t, weightsOf(lg.TopK(math.Inf(1), len(ora)+1)), wantAll, "final logarithmic")
-		sameWeights(t, weightsOf(bf.TopK(math.Inf(1), len(ora)+1)), wantAll, "final buffered")
+		sameWeights(t, weightsOf(lg.TopK(nil, math.Inf(1), len(ora)+1)), wantAll, "final logarithmic")
+		sameWeights(t, weightsOf(bf.TopK(nil, math.Inf(1), len(ora)+1)), wantAll, "final buffered")
 		for name, o := range map[string]*Overlay[float64, float64]{"logarithmic": lg, "buffered": bf} {
 			r, err := Restore[float64, float64](o.ExportState(), thresholdMatch, scanBuilder(nil), Options{})
 			if err != nil {
@@ -153,7 +153,7 @@ func FuzzOverlayPolicies(f *testing.F) {
 			if r.Policy() != o.Policy() {
 				t.Fatalf("restore %s: policy %v", name, r.Policy())
 			}
-			sameWeights(t, weightsOf(r.TopK(math.Inf(1), len(ora)+1)), wantAll, "restored "+name)
+			sameWeights(t, weightsOf(r.TopK(nil, math.Inf(1), len(ora)+1)), wantAll, "restored "+name)
 		}
 	})
 }

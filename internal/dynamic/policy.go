@@ -138,8 +138,8 @@ func (m *logMaintainer[Q, V]) afterInsert() {
 func (m *logMaintainer[Q, V]) merge(batch []core.Item[V]) {
 	o := m.o
 	o.stats.Flushes++
-	sp := o.opts.Tracker.BeginSpan()
-	defer func() { o.opts.Tracker.EndSpan(sp, PhaseFlush, -1, int64(len(batch))) }()
+	sp := o.opts.Tracker.BeginSpan(nil)
+	defer func() { o.opts.Tracker.EndSpan(nil, sp, PhaseFlush, -1, int64(len(batch))) }()
 
 	j := 0
 	for {
@@ -191,8 +191,8 @@ func (m *logMaintainer[Q, V]) checkRebuild() {
 func (m *logMaintainer[Q, V]) rebuildAll() {
 	o := m.o
 	o.stats.Rebuilds++
-	sp := o.opts.Tracker.BeginSpan()
-	defer func() { o.opts.Tracker.EndSpan(sp, PhaseRebuild, -1, int64(o.N())) }()
+	sp := o.opts.Tracker.BeginSpan(nil)
+	defer func() { o.opts.Tracker.EndSpan(nil, sp, PhaseRebuild, -1, int64(o.N())) }()
 	batch := make([]core.Item[V], 0, o.N())
 	for j, lvl := range o.levels {
 		if lvl != nil {
@@ -298,11 +298,11 @@ func (m *bufMaintainer[Q, V]) afterInsert() {
 	}
 	batch := o.drainTail()
 	o.stats.Flushes++
-	sp := o.opts.Tracker.BeginSpan()
+	sp := o.opts.Tracker.BeginSpan(nil)
 	if err := m.place(batch, 0); err != nil {
 		panic(fmt.Sprintf("dynamic: buffered flush failed: %v", err))
 	}
-	o.opts.Tracker.EndSpan(sp, PhaseFlush, -1, int64(len(batch)))
+	o.opts.Tracker.EndSpan(nil, sp, PhaseFlush, -1, int64(len(batch)))
 	m.cascade(0)
 }
 
@@ -310,9 +310,9 @@ func (m *bufMaintainer[Q, V]) bulkLoad(batch []core.Item[V]) error {
 	o := m.o
 	o.stats.Flushes++
 	t := m.tierOf(len(batch))
-	sp := o.opts.Tracker.BeginSpan()
+	sp := o.opts.Tracker.BeginSpan(nil)
 	err := m.place(batch, t)
-	o.opts.Tracker.EndSpan(sp, PhaseFlush, -1, int64(len(batch)))
+	o.opts.Tracker.EndSpan(nil, sp, PhaseFlush, -1, int64(len(batch)))
 	if err != nil {
 		return err
 	}
@@ -339,7 +339,7 @@ func (m *bufMaintainer[Q, V]) cascade(t int) {
 		for _, j := range slots {
 			merged = appendLive(merged, o.levels[j])
 		}
-		sp := o.opts.Tracker.BeginSpan()
+		sp := o.opts.Tracker.BeginSpan(nil)
 		for _, j := range slots {
 			o.discard(j)
 		}
@@ -347,7 +347,7 @@ func (m *bufMaintainer[Q, V]) cascade(t int) {
 			panic(fmt.Sprintf("dynamic: tier merge failed: %v", err))
 		}
 		o.stats.PartialRebuilds++
-		o.opts.Tracker.EndSpan(sp, PhasePartial, t, int64(len(merged)))
+		o.opts.Tracker.EndSpan(nil, sp, PhasePartial, t, int64(len(merged)))
 		t++
 	}
 }
@@ -406,13 +406,13 @@ func (m *bufMaintainer[Q, V]) compact(j int) {
 	lvl := o.levels[j]
 	t := m.tier[j]
 	live := appendLive(make([]core.Item[V], 0, lvl.live()), lvl)
-	sp := o.opts.Tracker.BeginSpan()
+	sp := o.opts.Tracker.BeginSpan(nil)
 	o.discard(j)
 	if err := m.place(live, t); err != nil {
 		panic(fmt.Sprintf("dynamic: partial rebuild failed: %v", err))
 	}
 	o.stats.PartialRebuilds++
-	o.opts.Tracker.EndSpan(sp, PhasePartial, j, int64(len(live)))
+	o.opts.Tracker.EndSpan(nil, sp, PhasePartial, j, int64(len(live)))
 }
 
 func (m *bufMaintainer[Q, V]) onDiscard(j int) { delete(m.tier, j) }

@@ -86,7 +86,7 @@ func TestChurnVsOracleBuffered(t *testing.T) {
 		default: // query
 			q := rng.Float64() * 100
 			k := 1 + rng.IntN(5)
-			got := weightsOf(o.TopK(q, k))
+			got := weightsOf(o.TopK(nil, q, k))
 			sameWeights(t, got, ora.topK(q, k), "TopK")
 		}
 		if o.N() != len(ora) {
@@ -101,7 +101,7 @@ func TestChurnVsOracleBuffered(t *testing.T) {
 		t.Fatalf("stats %+v: churn should have flushed and partially rebuilt", st)
 	}
 	for _, k := range []int{1, 3, 17, len(ora) + 5} {
-		got := weightsOf(o.TopK(math.Inf(1), k))
+		got := weightsOf(o.TopK(nil, math.Inf(1), k))
 		sameWeights(t, got, ora.topK(math.Inf(1), k), "final TopK")
 	}
 }
@@ -194,7 +194,7 @@ func TestInsertBatchMatchesSingles(t *testing.T) {
 			}
 			for _, q := range []float64{10, 55, 100} {
 				for _, k := range []int{1, 7, 50} {
-					sameWeights(t, weightsOf(bulk.TopK(q, k)), weightsOf(single.TopK(q, k)), "bulk vs single TopK")
+					sameWeights(t, weightsOf(bulk.TopK(nil, q, k)), weightsOf(single.TopK(nil, q, k)), "bulk vs single TopK")
 				}
 			}
 		})
@@ -311,7 +311,7 @@ func TestBufferedExportRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("stats diverge:\n  orig     %+v\n  restored %+v", os, rs)
 	}
 	for _, q := range []float64{1, 25, 49} {
-		sameWeights(t, weightsOf(r.TopK(q, 9)), weightsOf(o.TopK(q, 9)), "restored TopK")
+		sameWeights(t, weightsOf(r.TopK(nil, q, 9)), weightsOf(o.TopK(nil, q, 9)), "restored TopK")
 	}
 	// The restored overlay keeps maintaining under the same policy.
 	for i := 1000; i < 1300; i++ {
@@ -419,8 +419,8 @@ func TestPolicyAnswerEquivalence(t *testing.T) {
 			q := rng.Float64() * 100
 			k := 1 + rng.IntN(6)
 			want := ora.topK(q, k)
-			sameWeights(t, weightsOf(lg.TopK(q, k)), want, "logarithmic")
-			sameWeights(t, weightsOf(bf.TopK(q, k)), want, "buffered")
+			sameWeights(t, weightsOf(lg.TopK(nil, q, k)), want, "logarithmic")
+			sameWeights(t, weightsOf(bf.TopK(nil, q, k)), want, "buffered")
 		}
 	}
 	a, b := weightsOf(lg.Items()), weightsOf(bf.Items())

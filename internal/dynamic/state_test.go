@@ -61,8 +61,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 	for _, q := range []float64{-1, 2.5, 5, 9, 100} {
 		for _, k := range []int{1, 3, 10, 100} {
-			got := weightsOf(r.TopK(q, k))
-			want := weightsOf(o.TopK(q, k))
+			got := weightsOf(r.TopK(nil, q, k))
+			want := weightsOf(o.TopK(nil, q, k))
 			sameWeights(t, got, want, "restored TopK")
 			sameWeights(t, want, orc.topK(q, k), "original TopK vs oracle")
 		}

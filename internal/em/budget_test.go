@@ -33,7 +33,7 @@ func TestBudgetAbortsMidQuery(t *testing.T) {
 	v.SetLimits(3, time.Time{})
 	abort := capture(func() {
 		for _, id := range ids {
-			tr.Read(id)
+			tr.Read(v, id)
 		}
 	})
 	if abort == nil {
@@ -62,10 +62,10 @@ func TestBudgetCountsWritesAndBulkReads(t *testing.T) {
 
 	v := tr.BeginQuery()
 	v.SetLimits(2, time.Time{})
-	if ab := capture(func() { tr.Write(id) }); ab != nil {
+	if ab := capture(func() { tr.Write(v, id) }); ab != nil {
 		t.Fatalf("first write aborted under budget 2: %+v", ab)
 	}
-	if ab := capture(func() { tr.ScanCost(10 * tr.B()) }); ab == nil {
+	if ab := capture(func() { tr.ScanCost(v, 10*tr.B()) }); ab == nil {
 		t.Fatal("bulk scan past the budget did not abort")
 	} else if ab.Reason != AbortBudget {
 		t.Fatalf("abort reason = %v, want AbortBudget", ab.Reason)
@@ -80,7 +80,7 @@ func TestExpiredDeadlineAbortsOnFirstCharge(t *testing.T) {
 
 	v := tr.BeginQuery()
 	v.SetLimits(0, time.Now().Add(-time.Second))
-	abort := capture(func() { tr.Read(id) })
+	abort := capture(func() { tr.Read(v, id) })
 	if abort == nil {
 		t.Fatal("charge against an expired deadline did not abort")
 	}
@@ -102,8 +102,8 @@ func TestGenerousLimitsNeverAbort(t *testing.T) {
 	v.SetLimits(1_000_000, time.Now().Add(time.Hour))
 	if ab := capture(func() {
 		for _, id := range ids {
-			tr.Read(id)
-			tr.Read(id) // hits must not charge against the budget
+			tr.Read(v, id)
+			tr.Read(v, id) // hits must not charge against the budget
 		}
 	}); ab != nil {
 		t.Fatalf("generous limits aborted: %+v", ab)
@@ -125,7 +125,7 @@ func TestUnlimitedViewIgnoresLimitsMachinery(t *testing.T) {
 	v := tr.BeginQuery()
 	if ab := capture(func() {
 		for _, id := range ids {
-			tr.Read(id)
+			tr.Read(v, id)
 		}
 	}); ab != nil {
 		t.Fatalf("unlimited view aborted: %+v", ab)

@@ -359,7 +359,7 @@ func TestTrackerSurvivesStoreFaults(t *testing.T) {
 		ids[i] = tr.Alloc() // write #2 is torn; must not panic
 	}
 	for _, id := range ids {
-		tr.Read(id) // evictions force misses; read #1 is transient
+		tr.Read(nil, id) // evictions force misses; read #1 is transient
 	}
 	if got := tr.Stats().Reads; got == 0 {
 		t.Fatal("no logical reads recorded")

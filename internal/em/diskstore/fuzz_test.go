@@ -79,15 +79,15 @@ func FuzzBlockStore(f *testing.F) {
 					continue
 				}
 				id := live[arg%len(live)]
-				memT.Read(id)
-				diskT.Read(id)
+				memT.Read(nil, id)
+				diskT.Read(nil, id)
 			case 3: // Write
 				if len(live) == 0 {
 					continue
 				}
 				id := live[arg%len(live)]
-				memT.Write(id)
-				diskT.Write(id)
+				memT.Write(nil, id)
+				diskT.Write(nil, id)
 			case 4: // Free
 				if len(live) == 0 {
 					continue
@@ -117,14 +117,14 @@ func FuzzBlockStore(f *testing.F) {
 					continue
 				}
 				r := alive[arg%len(alive)]
-				memT.ReadRun(r.start, r.n)
-				diskT.ReadRun(r.start, r.n)
+				memT.ReadRun(nil, r.start, r.n)
+				diskT.ReadRun(nil, r.start, r.n)
 			case 7: // ScanCost: cost-level charge, physical stand-in reads
-				memT.ScanCost(1 + arg)
-				diskT.ScanCost(1 + arg)
+				memT.ScanCost(nil, 1+arg)
+				diskT.ScanCost(nil, 1+arg)
 			case 8: // PathCost: cost-level charge, physical stand-in reads
-				memT.PathCost(1 + arg)
-				diskT.PathCost(1 + arg)
+				memT.PathCost(nil, 1+arg)
+				diskT.PathCost(nil, 1+arg)
 			}
 			if ms, ds := memT.Stats(), diskT.Stats(); ms != ds {
 				t.Fatalf("step %d (op %d): logical stats diverged: mem %+v, disk %+v", step, op, ms, ds)

@@ -41,11 +41,11 @@
 // A Tracker separates the immutable machine description (Config, the block
 // allocation ledger) from the mutable I/O accounting. Builds and updates
 // must be serialized by the caller, but read-only queries may run
-// concurrently: each query goroutine calls BeginQuery to obtain a private
-// QueryView — its own cold LRU cache and counters — and charges issued by
-// that goroutine are routed to the view until End merges them into the
-// tracker-wide totals with atomic adds. Charges made with no active view
-// go to the shared cache (mutex-guarded) and shared counters (atomic), so
+// concurrently: each query calls BeginQuery to obtain a private QueryView —
+// its own cold LRU cache and counters — and passes it to every charge and
+// span method it issues (Read, PathCost, ScanCost, BeginSpan, …) until End
+// merges the view into the tracker-wide totals with atomic adds. A nil view
+// charges the shared cache (mutex-guarded) and shared counters (atomic), so
 // single-goroutine use keeps its exact previous semantics.
 package em
 
@@ -111,9 +111,10 @@ func (s Stats) Sub(t Stats) Stats {
 //
 // Structure builds and updates must not run concurrently with anything else
 // on the same tracker, but read-only queries may: wrap each query in
-// BeginQuery/End to give it a private QueryView, or rely on the shared
-// path, which is itself safe (mutex-guarded cache, atomic counters) at the
-// price of queries sharing one cache. See the package comment.
+// BeginQuery/End and pass its private QueryView to every charge, or pass a
+// nil view for the shared path, which is itself safe (mutex-guarded cache,
+// atomic counters) at the price of queries sharing one cache. See the
+// package comment.
 type Tracker struct {
 	cfg Config
 
@@ -137,8 +138,9 @@ type Tracker struct {
 	faults    atomic.Int64
 	closed    atomic.Bool
 
-	views  sync.Map     // goroutine id (uint64) -> *QueryView
-	nviews atomic.Int32 // active-view count; zero means the fast path
+	// nviews counts open query views; while it is nonzero the
+	// allocation ledger must not change (see checkMutable).
+	nviews atomic.Int32
 
 	// sink is the installed trace sink, nil when tracing is off; see
 	// trace.go. spanDepth tracks shared-path span nesting.
@@ -300,8 +302,8 @@ func (t *Tracker) DropCache() {
 
 // Alloc reserves one new block and returns its ID. Allocation itself
 // charges one write I/O (the block must reach disk at least once).
-// Allocation mutates the structure, so it panics inside a read-only
-// query view.
+// Allocation mutates the structure, so it panics while any read-only
+// query view is open on the tracker.
 func (t *Tracker) Alloc() BlockID {
 	t.checkMutable("Alloc")
 	id := BlockID(t.next.Add(1) - 1)
@@ -372,22 +374,33 @@ func (t *Tracker) ReleaseBlocks(n int64) {
 	t.blocks.Add(-n)
 }
 
-// checkMutable panics if the calling goroutine is inside a read-only query
-// view: queries must not change the allocation ledger, and the panic turns
-// a silent accounting corruption into an immediate test failure.
+// checkMutable panics while any read-only query view is open on the
+// tracker, whichever goroutine holds it: builds and updates need exclusive
+// access, so a ledger change during a query is a caller bug, and the panic
+// turns a silent accounting corruption into an immediate test failure.
 func (t *Tracker) checkMutable(op string) {
-	if t.currentView() != nil {
-		panic("em: " + op + " inside a read-only query view")
+	if t.nviews.Load() != 0 {
+		panic("em: " + op + " while a read-only query view is open")
 	}
 }
 
-// Read charges for reading one block: a cache hit is free, a miss costs one
-// I/O and makes the block resident.
-func (t *Tracker) Read(id BlockID) {
+// own panics unless v was begun on t: a view collects only its own
+// tracker's charges.
+func (t *Tracker) own(v *QueryView) {
+	if v.t != t {
+		panic("em: query view charged against another tracker")
+	}
+}
+
+// Read charges for reading one block to v, or to the shared path when v is
+// nil: a cache hit is free, a miss costs one I/O and makes the block
+// resident.
+func (t *Tracker) Read(v *QueryView, id BlockID) {
 	if id == 0 {
 		panic("em: read of invalid block 0")
 	}
-	if v := t.currentView(); v != nil {
+	if v != nil {
+		t.own(v)
 		v.read(id)
 		return
 	}
@@ -406,12 +419,14 @@ func (t *Tracker) Read(id BlockID) {
 	}
 }
 
-// Write charges one write I/O for block id and makes it resident.
-func (t *Tracker) Write(id BlockID) {
+// Write charges one write I/O for block id to v (nil: the shared path)
+// and makes the block resident.
+func (t *Tracker) Write(v *QueryView, id BlockID) {
 	if id == 0 {
 		panic("em: write of invalid block 0")
 	}
-	if v := t.currentView(); v != nil {
+	if v != nil {
+		t.own(v)
 		v.write(id)
 		return
 	}
@@ -423,20 +438,22 @@ func (t *Tracker) Write(id BlockID) {
 	t.writes.Add(1)
 }
 
-// ReadRun charges for a sequential scan of n consecutive blocks starting at
-// id. Sequential scans of runs longer than the cache bypass it (as a real
-// scan would flush itself), so each block costs one read.
-func (t *Tracker) ReadRun(id BlockID, n int) {
+// ReadRun charges v (nil: the shared path) for a sequential scan of n
+// consecutive blocks starting at id. Sequential scans of runs longer than
+// the cache bypass it (as a real scan would flush itself), so each block
+// costs one read.
+func (t *Tracker) ReadRun(v *QueryView, id BlockID, n int) {
 	if n <= 0 {
 		return
 	}
-	if v := t.currentView(); v != nil {
+	if v != nil {
+		t.own(v)
 		v.readRun(id, n)
 		return
 	}
 	if n <= t.cfg.MemBlocks {
 		for i := 0; i < n; i++ {
-			t.Read(id + BlockID(i))
+			t.Read(nil, id+BlockID(i))
 		}
 		return
 	}
@@ -454,17 +471,18 @@ func (t *Tracker) ReadRun(id BlockID, n int) {
 	}
 }
 
-// PathCost charges the I/Os of walking `nodes` nodes of a bounded-degree
-// search tree stored in a blocked (van Emde Boas style) layout, in which
-// any top-down walk of d nodes touches O(d / log₂B) blocks — the standard
-// way EM structures store binary search trees. One read is charged per
-// ⌊log₂B⌋ nodes walked.
-func (t *Tracker) PathCost(nodes int) {
+// PathCost charges v (nil: the shared path) the I/Os of walking `nodes`
+// nodes of a bounded-degree search tree stored in a blocked (van Emde Boas
+// style) layout, in which any top-down walk of d nodes touches
+// O(d / log₂B) blocks — the standard way EM structures store binary search
+// trees. One read is charged per ⌊log₂B⌋ nodes walked.
+func (t *Tracker) PathCost(v *QueryView, nodes int) {
 	if nodes <= 0 {
 		return
 	}
 	n := pathReads(nodes, t.cfg.B)
-	if v := t.currentView(); v != nil {
+	if v != nil {
+		t.own(v)
 		v.addReads(n)
 		return
 	}
@@ -482,16 +500,17 @@ func pathReads(nodes, b int) int64 {
 	return int64((nodes + per - 1) / per)
 }
 
-// ScanCost charges the I/Os of scanning nItems items packed B-per-block:
-// ceil(nItems/B) reads. It is the standard O(t/B) output term. The scan is
-// charged directly (no cache interaction) because reporting output is
-// written to the query answer, not revisited.
-func (t *Tracker) ScanCost(nItems int) {
+// ScanCost charges v (nil: the shared path) the I/Os of scanning nItems
+// items packed B-per-block: ceil(nItems/B) reads. It is the standard
+// O(t/B) output term. The scan is charged directly (no cache interaction)
+// because reporting output is written to the query answer, not revisited.
+func (t *Tracker) ScanCost(v *QueryView, nItems int) {
 	if nItems <= 0 {
 		return
 	}
 	n := int64((nItems + t.cfg.B - 1) / t.cfg.B)
-	if v := t.currentView(); v != nil {
+	if v != nil {
+		t.own(v)
 		v.addReads(n)
 		return
 	}
@@ -504,8 +523,8 @@ func (t *Tracker) ScanCost(nItems int) {
 // max(1, ⌈log_{M/B}(n/B)⌉) passes — the textbook EM sorting bound
 // (Aggarwal & Vitter). It is the bulk-ingest charge path: merging a
 // validated batch into a dynamized structure pays one streaming sort of
-// the batch, not per-item costs. Update-path only (never inside a query
-// view).
+// the batch, not per-item costs. Update-path only: it panics while a query
+// view is open.
 func (t *Tracker) SortCost(nItems int) {
 	t.checkMutable("SortCost")
 	if nItems <= 0 {
@@ -553,9 +572,10 @@ func (t *Tracker) SeqBlocks(bytes int64) int64 {
 // SnapshotCost charges the sequential writes of emitting a snapshot of
 // the given byte length: ceil(bytes/8/B) write I/Os, the O(size/B)
 // streaming cost. Snapshotting reads resident state and appends to a
-// fresh stream, so no reads and no cache interaction are charged.
+// fresh stream, so no reads and no cache interaction are charged. It may
+// run while queries hold open views; it takes no view, so the cost always
+// lands on the shared counters.
 func (t *Tracker) SnapshotCost(bytes int64) {
-	t.checkMutable("SnapshotCost")
 	t.writes.Add(t.SeqBlocks(bytes))
 }
 
@@ -583,23 +603,6 @@ func (t *Tracker) RestoreAccounting(bytes int64, fn func() error) error {
 	t.DropCache()
 	return nil
 }
-
-// currentView returns the calling goroutine's active view, or nil. The
-// common no-views case costs one atomic load.
-func (t *Tracker) currentView() *QueryView {
-	if t.nviews.Load() == 0 {
-		return nil
-	}
-	if v, ok := t.views.Load(goid()); ok {
-		return v.(*QueryView)
-	}
-	return nil
-}
-
-// InView reports whether the calling goroutine is currently inside a
-// query view (between BeginQuery and End). Observability layers use it
-// to avoid double-accounting a query that the view will already report.
-func (t *Tracker) InView() bool { return t.currentView() != nil }
 
 // BlocksFor returns how many blocks are needed to store nItems items of
 // wordsPerItem words each, packed contiguously.

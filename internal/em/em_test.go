@@ -36,11 +36,11 @@ func TestReadHitsAndMisses(t *testing.T) {
 	tr.DropCache()
 	tr.ResetCounters()
 
-	tr.Read(a) // miss
-	tr.Read(a) // hit
-	tr.Read(b) // miss
-	tr.Read(c) // miss, evicts a (LRU)
-	tr.Read(a) // miss again
+	tr.Read(nil, a) // miss
+	tr.Read(nil, a) // hit
+	tr.Read(nil, b) // miss
+	tr.Read(nil, c) // miss, evicts a (LRU)
+	tr.Read(nil, a) // miss again
 	st := tr.Stats()
 	if st.Reads != 4 {
 		t.Errorf("reads = %d, want 4", st.Reads)
@@ -56,16 +56,16 @@ func TestLRUOrdering(t *testing.T) {
 	tr.DropCache()
 	tr.ResetCounters()
 
-	tr.Read(a)
-	tr.Read(b)
-	tr.Read(a) // refresh a so that b is LRU
-	tr.Read(c) // should evict b, not a
+	tr.Read(nil, a)
+	tr.Read(nil, b)
+	tr.Read(nil, a) // refresh a so that b is LRU
+	tr.Read(nil, c) // should evict b, not a
 	tr.ResetCounters()
-	tr.Read(a)
+	tr.Read(nil, a)
 	if got := tr.Stats().Hits; got != 1 {
 		t.Errorf("read(a) after refresh: hits=%d, want 1 (a should be resident)", got)
 	}
-	tr.Read(b)
+	tr.Read(nil, b)
 	if got := tr.Stats().Reads; got != 1 {
 		t.Errorf("read(b): reads=%d, want 1 (b should have been evicted)", got)
 	}
@@ -73,21 +73,21 @@ func TestLRUOrdering(t *testing.T) {
 
 func TestScanCost(t *testing.T) {
 	tr := NewTracker(Config{B: 64, MemBlocks: 4})
-	tr.ScanCost(0)
+	tr.ScanCost(nil, 0)
 	if got := tr.Stats().Reads; got != 0 {
 		t.Errorf("ScanCost(0) charged %d reads, want 0", got)
 	}
-	tr.ScanCost(1)
+	tr.ScanCost(nil, 1)
 	if got := tr.Stats().Reads; got != 1 {
 		t.Errorf("ScanCost(1) charged %d reads, want 1", got)
 	}
 	tr.ResetCounters()
-	tr.ScanCost(65) // 65 items at B=64 -> 2 blocks
+	tr.ScanCost(nil, 65) // 65 items at B=64 -> 2 blocks
 	if got := tr.Stats().Reads; got != 2 {
 		t.Errorf("ScanCost(65) charged %d reads, want 2", got)
 	}
 	tr.ResetCounters()
-	tr.ScanCost(128)
+	tr.ScanCost(nil, 128)
 	if got := tr.Stats().Reads; got != 2 {
 		t.Errorf("ScanCost(128) charged %d reads, want 2", got)
 	}
@@ -98,7 +98,7 @@ func TestReadRunBypassesCacheWhenLong(t *testing.T) {
 	first := tr.AllocRun(10)
 	tr.DropCache()
 	tr.ResetCounters()
-	tr.ReadRun(first, 10)
+	tr.ReadRun(nil, first, 10)
 	st := tr.Stats()
 	if st.Reads != 10 || st.Hits != 0 {
 		t.Errorf("long ReadRun: reads=%d hits=%d, want 10,0", st.Reads, st.Hits)
@@ -110,8 +110,8 @@ func TestStatsSub(t *testing.T) {
 	a := tr.Alloc()
 	tr.DropCache()
 	before := tr.Stats()
-	tr.Read(a)
-	tr.Read(a)
+	tr.Read(nil, a)
+	tr.Read(nil, a)
 	d := tr.Stats().Sub(before)
 	if d.Reads != 1 || d.Hits != 1 {
 		t.Errorf("delta reads=%d hits=%d, want 1,1", d.Reads, d.Hits)
@@ -143,7 +143,7 @@ func TestBlocksFor(t *testing.T) {
 func TestFreeRunAndCacheEviction(t *testing.T) {
 	tr := NewTracker(Config{B: 64, MemBlocks: 4})
 	first := tr.AllocRun(3)
-	tr.Read(first)
+	tr.Read(nil, first)
 	tr.FreeRun(first, 3)
 	if got := tr.Stats().Blocks; got != 0 {
 		t.Errorf("blocks after FreeRun = %d, want 0", got)
@@ -155,28 +155,28 @@ func TestFreeRunAndCacheEviction(t *testing.T) {
 
 func TestPathCost(t *testing.T) {
 	tr := NewTracker(Config{B: 64, MemBlocks: 2})
-	tr.PathCost(0)
+	tr.PathCost(nil, 0)
 	if got := tr.Stats().Reads; got != 0 {
 		t.Errorf("PathCost(0) charged %d reads", got)
 	}
 	// B=64: per = 7 (1 + log2 64). 1..7 nodes -> 1 read; 8 -> 2.
-	tr.PathCost(1)
+	tr.PathCost(nil, 1)
 	if got := tr.Stats().Reads; got != 1 {
 		t.Errorf("PathCost(1) charged %d reads, want 1", got)
 	}
 	tr.ResetCounters()
-	tr.PathCost(7)
+	tr.PathCost(nil, 7)
 	if got := tr.Stats().Reads; got != 1 {
 		t.Errorf("PathCost(7) charged %d reads, want 1", got)
 	}
 	tr.ResetCounters()
-	tr.PathCost(8)
+	tr.PathCost(nil, 8)
 	if got := tr.Stats().Reads; got != 2 {
 		t.Errorf("PathCost(8) charged %d reads, want 2", got)
 	}
 	// Larger B packs more nodes per block.
 	tr2 := NewTracker(Config{B: 1024, MemBlocks: 2})
-	tr2.PathCost(11)
+	tr2.PathCost(nil, 11)
 	if got := tr2.Stats().Reads; got != 1 {
 		t.Errorf("B=1024 PathCost(11) charged %d reads, want 1", got)
 	}
@@ -208,14 +208,14 @@ func TestRestoreAccounting(t *testing.T) {
 	tr := NewTracker(Config{B: 64, MemBlocks: 8})
 	// Pre-existing activity that must survive the restore untouched.
 	id := tr.Alloc()
-	tr.Read(id)
-	tr.Read(id) // hit
+	tr.Read(nil, id)
+	tr.Read(nil, id) // hit
 	before := tr.Stats()
 
 	err := tr.RestoreAccounting(8*64*5, func() error {
 		// A reconstruction that charges heavily, as a real build would.
 		run := tr.AllocRun(100)
-		tr.ReadRun(run, 100)
+		tr.ReadRun(nil, run, 100)
 		return nil
 	})
 	if err != nil {
@@ -232,7 +232,7 @@ func TestRestoreAccounting(t *testing.T) {
 		t.Errorf("blocks = %d, want space kept from reconstruction", s.Blocks)
 	}
 	// Cache must be cold: re-reading the old block costs a miss.
-	tr.Read(id)
+	tr.Read(nil, id)
 	if got := tr.Stats().Reads; got != s.Reads+1 {
 		t.Errorf("cache not dropped: reads %d, want %d", got, s.Reads+1)
 	}

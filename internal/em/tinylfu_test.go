@@ -212,7 +212,7 @@ func TestCacheStatsAggregation(t *testing.T) {
 	}
 	// Shared path: walk all 8 blocks through a 2-frame cache.
 	for _, id := range ids {
-		tr.Read(id)
+		tr.Read(nil, id)
 	}
 	shared := tr.CacheStats()
 	if shared.Evictions+shared.AdmissionRejects == 0 {
@@ -222,7 +222,7 @@ func TestCacheStatsAggregation(t *testing.T) {
 	// counters.
 	v := tr.BeginQuery()
 	for _, id := range ids {
-		tr.Read(id)
+		tr.Read(v, id)
 	}
 	v.End()
 	after := tr.CacheStats()

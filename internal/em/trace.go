@@ -14,12 +14,12 @@ package em
 // cannot change any measured I/O count (the "observer effect" discussed
 // in DESIGN.md §9).
 //
-// Routing mirrors the charge routing of the tracker: a span begun while
-// the calling goroutine holds a QueryView snapshots the view's private
-// counters and is buffered on the view, giving exact per-query phase
-// deltas; a span begun on the shared path (builds, updates, flush merges
-// — all under the caller's exclusive-access contract) snapshots the
-// shared atomic counters and is delivered to the sink immediately.
+// Spans take the query's view exactly as charges do: a span begun with a
+// QueryView snapshots the view's private counters and is buffered on the
+// view, giving exact per-query phase deltas; a span begun with a nil view
+// (builds, updates, flush merges — all under the caller's exclusive-access
+// contract) snapshots the shared atomic counters and is delivered to the
+// sink immediately.
 // Shared-path spans taken while other goroutines are charging I/Os
 // concurrently are data-race-free but attribute the interleaved charges
 // to the open span; exact per-query traces therefore come from the
@@ -106,15 +106,16 @@ type SpanMark struct {
 // Active reports whether the mark was taken with tracing enabled.
 func (m SpanMark) Active() bool { return m.active }
 
-// BeginSpan opens a span on the calling goroutine and returns its mark.
+// BeginSpan opens a span on v (nil: the shared path) and returns its mark.
 // With no sink installed (or a nil tracker) it returns an inactive mark
-// at the cost of one atomic load. Spans must be properly nested per
-// goroutine and closed by EndSpan before the enclosing query view ends.
-func (t *Tracker) BeginSpan() SpanMark {
+// at the cost of one atomic load. Spans must be properly nested per view
+// and closed by EndSpan, with the same view, before the view ends.
+func (t *Tracker) BeginSpan(v *QueryView) SpanMark {
 	if t == nil || t.sink.Load() == nil {
 		return SpanMark{}
 	}
-	if v := t.currentView(); v != nil {
+	if v != nil {
+		t.own(v)
 		m := SpanMark{reads: v.reads, writes: v.writes, hits: v.hits, depth: v.spanDepth, active: true}
 		v.spanDepth++
 		return m
@@ -130,16 +131,17 @@ func (t *Tracker) BeginSpan() SpanMark {
 }
 
 // EndSpan closes a span: it computes the counter deltas since the mark
-// and either buffers the event on the goroutine's query view (delivered
-// as a batch by QueryView.End) or, on the shared path, delivers it to the
-// sink immediately. Inactive marks (tracing off, nil tracker) no-op.
-func (t *Tracker) EndSpan(m SpanMark, phase string, level int, arg int64) {
+// and either buffers the event on the query view v that BeginSpan was
+// given (delivered as a batch by QueryView.End) or, for a shared-path
+// mark, delivers it to the sink immediately. Inactive marks (tracing off,
+// nil tracker) no-op.
+func (t *Tracker) EndSpan(v *QueryView, m SpanMark, phase string, level int, arg int64) {
 	if t == nil || !m.active {
 		return
 	}
 	if !m.shared {
-		v := t.currentView()
-		if v == nil {
+		t.own(v)
+		if v.ended {
 			return // view ended with the span still open; drop it
 		}
 		v.spanDepth--

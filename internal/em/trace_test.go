@@ -49,14 +49,14 @@ func TestSpanInsideViewAttributesExactDeltas(t *testing.T) {
 	tr.SetTraceSink(sink)
 
 	v := tr.BeginQuery()
-	m := tr.BeginSpan()
-	tr.Read(ids[0])
-	tr.Read(ids[1])
-	inner := tr.BeginSpan()
-	tr.Read(ids[0]) // private-cache hit? cache holds ids[0], ids[1]; MemBlocks=2 -> hit
-	tr.EndSpan(inner, "test.inner", 3, 7)
-	tr.EndSpan(m, "test.outer", 0, 1)
-	tr.Read(ids[2]) // outside any span -> residual
+	m := tr.BeginSpan(v)
+	tr.Read(v, ids[0])
+	tr.Read(v, ids[1])
+	inner := tr.BeginSpan(v)
+	tr.Read(v, ids[0]) // private-cache hit? cache holds ids[0], ids[1]; MemBlocks=2 -> hit
+	tr.EndSpan(v, inner, "test.inner", 3, 7)
+	tr.EndSpan(v, m, "test.outer", 0, 1)
+	tr.Read(v, ids[2]) // outside any span -> residual
 	st := v.End()
 
 	evs := v.Trace()
@@ -93,9 +93,9 @@ func TestSpanSharedPathDeliversImmediately(t *testing.T) {
 	sink := &recordingSink{}
 	tr.SetTraceSink(sink)
 
-	m := tr.BeginSpan()
-	tr.Write(id)
-	tr.EndSpan(m, "test.build", -1, 42)
+	m := tr.BeginSpan(nil)
+	tr.Write(nil, id)
+	tr.EndSpan(nil, m, "test.build", -1, 42)
 
 	if len(sink.events) != 1 {
 		t.Fatalf("got %d shared events, want 1", len(sink.events))
@@ -113,9 +113,9 @@ func TestTraceDisabledByDefaultAndRemovable(t *testing.T) {
 	}
 	id := tr.Alloc()
 	v := tr.BeginQuery()
-	m := tr.BeginSpan()
-	tr.Read(id)
-	tr.EndSpan(m, "test.off", 0, 0)
+	m := tr.BeginSpan(v)
+	tr.Read(v, id)
+	tr.EndSpan(v, m, "test.off", 0, 0)
 	v.End()
 	if len(v.Trace()) != 0 {
 		t.Fatalf("events recorded with tracing off: %+v", v.Trace())
@@ -134,11 +134,11 @@ func TestTraceDisabledByDefaultAndRemovable(t *testing.T) {
 
 func TestNilTrackerSpansNoop(t *testing.T) {
 	var tr *Tracker
-	m := tr.BeginSpan()
+	m := tr.BeginSpan(nil)
 	if m.Active() {
 		t.Fatal("nil tracker produced an active mark")
 	}
-	tr.EndSpan(m, "x", 0, 0) // must not panic
+	tr.EndSpan(nil, m, "x", 0, 0) // must not panic
 	if tr.Tracing() {
 		t.Fatal("nil tracker reports tracing")
 	}
@@ -152,12 +152,35 @@ func TestSpanOffPathZeroAlloc(t *testing.T) {
 	tr := NewTracker(DefaultConfig())
 	id := tr.Alloc()
 	allocs := testing.AllocsPerRun(1000, func() {
-		m := tr.BeginSpan()
-		tr.Read(id)
-		tr.EndSpan(m, "test.hot", 0, 0)
+		m := tr.BeginSpan(nil)
+		tr.Read(nil, id)
+		tr.EndSpan(nil, m, "test.hot", 0, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-sink span path allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestViewChargeZeroAlloc is the view-path twin of TestSpanOffPathZeroAlloc:
+// inside an open view with no sink installed, every charge method and a
+// BeginSpan/EndSpan pair must not allocate.
+func TestViewChargeZeroAlloc(t *testing.T) {
+	tr := NewTracker(DefaultConfig())
+	id := tr.Alloc()
+	run := tr.AllocRun(2 * tr.Config().MemBlocks)
+	v := tr.BeginQuery()
+	defer v.End()
+	allocs := testing.AllocsPerRun(1000, func() {
+		m := tr.BeginSpan(v)
+		tr.Read(v, id)
+		tr.ReadRun(v, run, 2)
+		tr.ReadRun(v, run, 2*tr.Config().MemBlocks)
+		tr.PathCost(v, 9)
+		tr.ScanCost(v, 3*tr.B())
+		tr.EndSpan(v, m, "test.hot", 0, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("view charge path allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -177,11 +200,11 @@ func TestConcurrentViewTracesStayIsolated(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			v := tr.BeginQuery()
-			m := tr.BeginSpan()
+			m := tr.BeginSpan(v)
 			for i := 0; i < 16; i++ {
-				tr.Read(ids[(w*16+i)%len(ids)])
+				tr.Read(v, ids[(w*16+i)%len(ids)])
 			}
-			tr.EndSpan(m, "test.q", w, int64(w))
+			tr.EndSpan(v, m, "test.q", w, int64(w))
 			st := v.End()
 			r, wr, h := sumDepth0(v.Trace())
 			if r != st.Reads || wr != st.Writes || h != st.Hits {

@@ -9,22 +9,24 @@ import "time"
 // End, which merges the counters into the tracker-wide totals atomically
 // and returns the query's own Stats delta.
 //
-// While the view is active, every charge issued by the registering
-// goroutine (Read, Write, ReadRun, PathCost, ScanCost) is routed to the
-// view. Because the private cache starts cold and is never shared, a
-// query's I/O count is a deterministic function of the query alone —
+// The query passes the view to every charge and span method it issues
+// (Read, Write, ReadRun, PathCost, ScanCost, BeginSpan, EndSpan); those
+// charges land in the view, and charges given a nil view land on the
+// shared path. Because the private cache starts cold and is never shared,
+// a query's I/O count is a deterministic function of the query alone —
 // identical whether queries run serially or in parallel — which is what
 // lets concurrent measurements still validate the paper's cold-cache
 // bounds.
 //
-// Charges are routed by goroutine identity, so the goroutine that calls
-// BeginQuery must be the one executing the query, the query must not spawn
-// internal goroutines, and End must be called from that same goroutine.
-// Allocation (Alloc, AllocRun, Free, FreeRun) mutates the structure and
-// panics while a view is active on the calling goroutine.
+// A view is not safe for simultaneous use: its counters are plain fields.
+// A query may hand it to goroutines it spawns as long as their charges do
+// not overlap in time (for example, each waited for before the next
+// starts), and any number of views may be open at once. A view charges
+// only the tracker that began it. Allocation (Alloc, AllocRun, Free,
+// FreeRun, ReleaseBlocks, SortCost) mutates the structure and panics while
+// any view is open on the tracker.
 type QueryView struct {
 	t     *Tracker
-	gid   uint64
 	cache blockCache
 	// buf is the view's private payload scratch when the tracker has a
 	// physical store: view misses perform their own physical reads, so
@@ -50,18 +52,12 @@ type QueryView struct {
 	ended bool
 }
 
-// BeginQuery registers a fresh, cold QueryView for the calling goroutine
-// and returns it. Charges from this goroutine are routed to the view until
-// End is called. It panics if this goroutine already holds an active view
-// on this tracker: queries do not nest.
+// BeginQuery opens a fresh, cold QueryView on the tracker and returns it.
+// Charges passed the view land in it until End is called.
 func (t *Tracker) BeginQuery() *QueryView {
-	gid := goid()
-	v := &QueryView{t: t, gid: gid, cache: newBlockCache(t.cfg.Policy, t.cfg.MemBlocks, &t.cacheCtr)}
+	v := &QueryView{t: t, cache: newBlockCache(t.cfg.Policy, t.cfg.MemBlocks, &t.cacheCtr)}
 	if t.store != nil {
 		v.buf = make([]byte, t.store.PayloadBytes())
-	}
-	if _, loaded := t.views.LoadOrStore(gid, v); loaded {
-		panic("em: BeginQuery: a query view is already active on this goroutine")
 	}
 	t.nviews.Add(1)
 	return v
@@ -78,9 +74,9 @@ func (v *QueryView) Stats() Stats {
 	}
 }
 
-// End deregisters the view, merges its counters into the tracker-wide
-// totals with atomic adds, and returns the view's final Stats. Calling End
-// again is a no-op that returns the same Stats, so it is safe to defer.
+// End closes the view, merges its counters into the tracker-wide totals
+// with atomic adds, and returns the view's final Stats. Calling End again
+// is a no-op that returns the same Stats, so it is safe to defer.
 //
 // When a TraceSink is installed, End first closes the query's trace: if
 // the depth-0 spans do not account for the view's full counters, a
@@ -106,7 +102,6 @@ func (v *QueryView) End() Stats {
 		}
 		box.s.QueryTrace(v.trace, st)
 	}
-	v.t.views.Delete(v.gid)
 	v.t.nviews.Add(-1)
 	v.t.reads.Add(v.reads)
 	v.t.writes.Add(v.writes)
@@ -159,8 +154,8 @@ func (v *QueryView) readRun(id BlockID, n int) {
 	v.checkLimits()
 }
 
-// chargeReads mirrors Tracker.chargeReads for view-routed cost-level
-// charges: n physical stand-in reads against the store's fixed region.
+// chargeReads mirrors Tracker.chargeReads for cost-level charges given to
+// the view: n physical stand-in reads against the store's fixed region.
 func (v *QueryView) chargeReads(n int64) {
 	if v.buf == nil {
 		return

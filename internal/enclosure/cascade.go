@@ -63,14 +63,14 @@ func cascadeInput(nd *snode[*interval.StabMax1D[rectVal]]) *cascade.Input {
 func (m *MaxCascade) N() int { return m.n }
 
 // MaxItem implements core.Max[Pt2, Rect] with one cascaded descent.
-func (m *MaxCascade) MaxItem(q Pt2) (core.Item[Rect], bool) {
+func (m *MaxCascade) MaxItem(v *em.QueryView, q Pt2) (core.Item[Rect], bool) {
 	c := m.t.elemCoord(q.X)
 	if c < 0 || m.t.root == nil || m.casc == nil {
 		return core.Item[Rect]{}, false
 	}
 	if m.tracker != nil {
 		// One root binary search over the augmented catalog …
-		m.tracker.PathCost(log2ceil(m.casc.CatalogLen() + 1))
+		m.tracker.PathCost(v, log2ceil(m.casc.CatalogLen()+1))
 	}
 	best := core.Item[Rect]{Weight: math.Inf(-1)}
 	found := false
@@ -83,7 +83,7 @@ func (m *MaxCascade) MaxItem(q Pt2) (core.Item[Rect], bool) {
 		sm := nd.payload
 		if i := cur.OwnPred(); i >= 0 {
 			exact := sm.Boundaries()[i] == q.Y
-			if it, ok := sm.AnswerAt(i, exact); ok && it.Weight > best.Weight {
+			if it, ok := sm.AnswerAt(v, i, exact); ok && it.Weight > best.Weight {
 				best = unwrapRect(it)
 				found = true
 			}
@@ -100,7 +100,7 @@ func (m *MaxCascade) MaxItem(q Pt2) (core.Item[Rect], bool) {
 	if m.tracker != nil {
 		// … then O(1) bridge work per level (answer-block reads are
 		// charged by AnswerAt itself).
-		m.tracker.PathCost(nodes)
+		m.tracker.PathCost(v, nodes)
 	}
 	if !found {
 		return core.Item[Rect]{}, false

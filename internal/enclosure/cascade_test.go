@@ -20,7 +20,7 @@ func TestMaxCascadeAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 400; trial++ {
 		q := Pt2{g.Float64() * 120, g.Float64() * 120}
-		got, gok := m.MaxItem(q)
+		got, gok := m.MaxItem(nil, q)
 		want, wok := oracleMax(items, q)
 		if gok != wok {
 			t.Fatalf("q=%+v: ok=%v want %v", q, gok, wok)
@@ -47,8 +47,8 @@ func TestMaxCascadeCornerQueries(t *testing.T) {
 	for _, it := range items {
 		r := it.Value
 		for _, q := range []Pt2{{r.X1, r.Y1}, {r.X2, r.Y2}, {r.X1, r.Y2}, {r.X2, r.Y1}} {
-			a, aok := m.MaxItem(q)
-			b, bok := plain.MaxItem(q)
+			a, aok := m.MaxItem(nil, q)
+			b, bok := plain.MaxItem(nil, q)
 			if aok != bok || (aok && a.Weight != b.Weight) {
 				t.Fatalf("corner %+v: cascade (%v,%v) vs plain (%v,%v)", q, a.Weight, aok, b.Weight, bok)
 			}
@@ -61,7 +61,7 @@ func TestMaxCascadeEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.MaxItem(Pt2{1, 1}); ok {
+	if _, ok := m.MaxItem(nil, Pt2{1, 1}); ok {
 		t.Fatal("empty cascade structure found a max")
 	}
 }
@@ -88,12 +88,12 @@ func TestMaxCascadeCheaperThanPlain(t *testing.T) {
 		q := Pt2{18 + g.Float64()*45, 140 + g.Float64()*60}
 		trP.DropCache()
 		trP.ResetCounters()
-		a, aok := plain.MaxItem(q)
+		a, aok := plain.MaxItem(nil, q)
 		pIOs += trP.Stats().IOs()
 
 		trC.DropCache()
 		trC.ResetCounters()
-		b, bok := casc.MaxItem(q)
+		b, bok := casc.MaxItem(nil, q)
 		cIOs += trC.Stats().IOs()
 
 		if aok != bok || (aok && a.Weight != b.Weight) {
@@ -110,7 +110,7 @@ func TestMaxCascadeFactory(t *testing.T) {
 	items := genRects(g, 300)
 	m := NewMaxCascadeFactory(nil)(items)
 	q := Pt2{50, 50}
-	got, gok := m.MaxItem(q)
+	got, gok := m.MaxItem(nil, q)
 	want, wok := oracleMax(items, q)
 	if gok != wok || (gok && got.Weight != want.Weight) {
 		t.Fatalf("factory cascade mismatch")

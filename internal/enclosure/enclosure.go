@@ -229,14 +229,14 @@ func (p *Prioritized) N() int { return p.n }
 
 // ReportAbove implements core.Prioritized[Pt2, Rect]: emit every rectangle
 // containing q with weight ≥ tau.
-func (p *Prioritized) ReportAbove(q Pt2, tau float64, emit func(core.Item[Rect]) bool) {
+func (p *Prioritized) ReportAbove(v *em.QueryView, q Pt2, tau float64, emit func(core.Item[Rect]) bool) {
 	c := p.t.elemCoord(q.X)
 	if c < 0 || p.t.root == nil {
 		return
 	}
 	stopped := false
 	nodes := p.t.walk(c, func(tr *interval.Tree[rectVal]) bool {
-		tr.ReportAbove(q.Y, tau, func(it core.Item[rectVal]) bool {
+		tr.ReportAbove(v, q.Y, tau, func(it core.Item[rectVal]) bool {
 			if !emit(core.Item[Rect]{Value: it.Value.r, Weight: it.Weight}) {
 				stopped = true
 				return false
@@ -246,7 +246,7 @@ func (p *Prioritized) ReportAbove(q Pt2, tau float64, emit func(core.Item[Rect])
 		return !stopped
 	})
 	if p.tracker != nil {
-		p.tracker.PathCost(nodes)
+		p.tracker.PathCost(v, nodes)
 	}
 }
 
@@ -278,7 +278,7 @@ func NewMax(items []core.Item[Rect], tracker *em.Tracker) (*Max, error) {
 func (m *Max) N() int { return m.n }
 
 // MaxItem implements core.Max[Pt2, Rect].
-func (m *Max) MaxItem(q Pt2) (core.Item[Rect], bool) {
+func (m *Max) MaxItem(v *em.QueryView, q Pt2) (core.Item[Rect], bool) {
 	c := m.t.elemCoord(q.X)
 	if c < 0 || m.t.root == nil {
 		return core.Item[Rect]{}, false
@@ -286,14 +286,14 @@ func (m *Max) MaxItem(q Pt2) (core.Item[Rect], bool) {
 	best := core.Item[Rect]{Weight: math.Inf(-1)}
 	found := false
 	nodes := m.t.walk(c, func(s *interval.StabMax1D[rectVal]) bool {
-		if it, ok := s.MaxItem(q.Y); ok && it.Weight > best.Weight {
+		if it, ok := s.MaxItem(v, q.Y); ok && it.Weight > best.Weight {
 			best = core.Item[Rect]{Value: it.Value.r, Weight: it.Weight}
 			found = true
 		}
 		return true
 	})
 	if m.tracker != nil {
-		m.tracker.PathCost(nodes)
+		m.tracker.PathCost(v, nodes)
 	}
 	if !found {
 		return core.Item[Rect]{}, false

@@ -76,7 +76,7 @@ func TestPrioritizedAgainstOracle(t *testing.T) {
 		q := Pt2{g.Float64() * 120, g.Float64() * 120}
 		tau := g.Float64() * 1.2e6
 		var got []core.Item[Rect]
-		p.ReportAbove(q, tau, func(it core.Item[Rect]) bool {
+		p.ReportAbove(nil, q, tau, func(it core.Item[Rect]) bool {
 			got = append(got, it)
 			return true
 		})
@@ -103,7 +103,7 @@ func TestPrioritizedCornerQueries(t *testing.T) {
 		r := it.Value
 		for _, q := range []Pt2{{r.X1, r.Y1}, {r.X2, r.Y2}, {r.X1, r.Y2}, {r.X2, r.Y1}} {
 			count := 0
-			p.ReportAbove(q, math.Inf(-1), func(core.Item[Rect]) bool { count++; return true })
+			p.ReportAbove(nil, q, math.Inf(-1), func(core.Item[Rect]) bool { count++; return true })
 			if want := len(oracleAbove(items, q, math.Inf(-1))); count != want {
 				t.Fatalf("corner %+v: reported %d, want %d", q, count, want)
 			}
@@ -116,7 +116,7 @@ func TestPrioritizedEarlyStop(t *testing.T) {
 	items := genRects(g, 400)
 	p, _ := NewPrioritized(items, nil)
 	count := 0
-	p.ReportAbove(Pt2{50, 50}, math.Inf(-1), func(core.Item[Rect]) bool {
+	p.ReportAbove(nil, Pt2{50, 50}, math.Inf(-1), func(core.Item[Rect]) bool {
 		count++
 		return count < 3
 	})
@@ -134,7 +134,7 @@ func TestMaxAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		q := Pt2{g.Float64() * 120, g.Float64() * 120}
-		got, gok := m.MaxItem(q)
+		got, gok := m.MaxItem(nil, q)
 		want, wok := oracleMax(items, q)
 		if gok != wok {
 			t.Fatalf("q=%+v: ok=%v want %v", q, gok, wok)
@@ -151,7 +151,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	p.ReportAbove(Pt2{1, 1}, math.Inf(-1), func(core.Item[Rect]) bool { count++; return true })
+	p.ReportAbove(nil, Pt2{1, 1}, math.Inf(-1), func(core.Item[Rect]) bool { count++; return true })
 	if count != 0 {
 		t.Fatal("empty structure reported items")
 	}
@@ -159,17 +159,17 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.MaxItem(Pt2{1, 1}); ok {
+	if _, ok := m.MaxItem(nil, Pt2{1, 1}); ok {
 		t.Fatal("empty structure found a max")
 	}
 
 	// Degenerate point rectangle.
 	one := []core.Item[Rect]{{Value: Rect{5, 5, 7, 7}, Weight: 3}}
 	m, _ = NewMax(one, nil)
-	if it, ok := m.MaxItem(Pt2{5, 7}); !ok || it.Weight != 3 {
+	if it, ok := m.MaxItem(nil, Pt2{5, 7}); !ok || it.Weight != 3 {
 		t.Fatalf("point rect not found at its own corner: %+v %v", it, ok)
 	}
-	if _, ok := m.MaxItem(Pt2{5, 7.001}); ok {
+	if _, ok := m.MaxItem(nil, Pt2{5, 7.001}); ok {
 		t.Fatal("point rect matched a nearby query")
 	}
 }
@@ -197,7 +197,7 @@ func TestIOCharging(t *testing.T) {
 	}
 	tr.DropCache()
 	tr.ResetCounters()
-	m.MaxItem(Pt2{50, 50})
+	m.MaxItem(nil, Pt2{50, 50})
 	ios := tr.Stats().IOs()
 	if ios == 0 {
 		t.Fatal("MaxItem charged no I/Os")
@@ -216,7 +216,7 @@ func TestFactories(t *testing.T) {
 	m := NewMaxFactory(nil)(items)
 	q := Pt2{50, 50}
 	var got []core.Item[Rect]
-	p.ReportAbove(q, math.Inf(-1), func(it core.Item[Rect]) bool {
+	p.ReportAbove(nil, q, math.Inf(-1), func(it core.Item[Rect]) bool {
 		got = append(got, it)
 		return true
 	})
@@ -224,7 +224,7 @@ func TestFactories(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("factory prioritized: %d items, want %d", len(got), len(want))
 	}
-	gm, gok := m.MaxItem(q)
+	gm, gok := m.MaxItem(nil, q)
 	wm, wok := oracleMax(items, q)
 	if gok != wok || (gok && gm.Weight != wm.Weight) {
 		t.Fatalf("factory max mismatch")

@@ -122,7 +122,7 @@ func (e *EMPrioritized) Levels() int {
 }
 
 // ReportAbove implements core.Prioritized[Halfspace, PtN].
-func (e *EMPrioritized) ReportAbove(q Halfspace, tau float64, emit func(core.Item[PtN]) bool) {
+func (e *EMPrioritized) ReportAbove(v *em.QueryView, q Halfspace, tau float64, emit func(core.Item[PtN]) bool) {
 	if e.root == nil {
 		return
 	}
@@ -137,22 +137,22 @@ func (e *EMPrioritized) ReportAbove(q Halfspace, tau float64, emit func(core.Ite
 		}
 	}
 	if e.tracker != nil {
-		e.tracker.PathCost(log2c(len(e.byW) + 1))
+		e.tracker.PathCost(v, log2c(len(e.byW)+1))
 	}
-	e.query(e.root, lo, q, tau, emit)
+	e.query(v, e.root, lo, q, tau, emit)
 }
 
 // query covers byW[:cnt] with canonical nodes; fully covered nodes use
 // their halfspace structure, the straddling path recurses, straddling
 // leaves scan.
-func (e *EMPrioritized) query(nd *emNode, cnt int, q Halfspace, tau float64, emit func(core.Item[PtN]) bool) bool {
+func (e *EMPrioritized) query(v *em.QueryView, nd *emNode, cnt int, q Halfspace, tau float64, emit func(core.Item[PtN]) bool) bool {
 	if nd == nil || cnt <= nd.lo {
 		return true
 	}
 	if cnt >= nd.hi {
 		// Entirely inside the prefix: report by geometry only.
 		stopped := false
-		nd.str.ReportAbove(q, math.Inf(-1), func(it core.Item[PtN]) bool {
+		nd.str.ReportAbove(v, q, math.Inf(-1), func(it core.Item[PtN]) bool {
 			if !emit(it) {
 				stopped = true
 				return false
@@ -164,7 +164,7 @@ func (e *EMPrioritized) query(nd *emNode, cnt int, q Halfspace, tau float64, emi
 	if len(nd.children) == 0 {
 		// Straddling leaf: scan its ≤ B points.
 		if e.tracker != nil {
-			e.tracker.ScanCost(cnt - nd.lo)
+			e.tracker.ScanCost(v, cnt-nd.lo)
 		}
 		for _, it := range e.byW[nd.lo:cnt] {
 			if q.Contains(it.Value) {
@@ -176,7 +176,7 @@ func (e *EMPrioritized) query(nd *emNode, cnt int, q Halfspace, tau float64, emi
 		return true
 	}
 	for _, c := range nd.children {
-		if !e.query(c, cnt, q, tau, emit) {
+		if !e.query(v, c, cnt, q, tau, emit) {
 			return false
 		}
 		if cnt < c.hi {

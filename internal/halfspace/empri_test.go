@@ -24,7 +24,7 @@ func TestEMPrioritizedAgainstOracle(t *testing.T) {
 			q := randHalfspace(g, d)
 			tau := g.Float64() * 1.2e6
 			var got []core.Item[PtN]
-			e.ReportAbove(q, tau, func(it core.Item[PtN]) bool {
+			e.ReportAbove(nil, q, tau, func(it core.Item[PtN]) bool {
 				got = append(got, it)
 				return true
 			})
@@ -52,19 +52,19 @@ func TestEMPrioritizedTauBoundaries(t *testing.T) {
 	all := Halfspace{A: []float64{1, 0, 0}, C: math.Inf(-1)}
 
 	count := 0
-	e.ReportAbove(all, math.Inf(-1), func(core.Item[PtN]) bool { count++; return true })
+	e.ReportAbove(nil, all, math.Inf(-1), func(core.Item[PtN]) bool { count++; return true })
 	if count != len(items) {
 		t.Fatalf("τ=-inf reported %d, want all %d", count, len(items))
 	}
 	sorted := append([]core.Item[PtN](nil), items...)
 	core.SortByWeightDesc(sorted)
 	count = 0
-	e.ReportAbove(all, sorted[7].Weight, func(core.Item[PtN]) bool { count++; return true })
+	e.ReportAbove(nil, all, sorted[7].Weight, func(core.Item[PtN]) bool { count++; return true })
 	if count != 8 {
 		t.Fatalf("τ at rank-8 weight reported %d, want 8", count)
 	}
 	count = 0
-	e.ReportAbove(all, math.Inf(1), func(core.Item[PtN]) bool { count++; return true })
+	e.ReportAbove(nil, all, math.Inf(1), func(core.Item[PtN]) bool { count++; return true })
 	if count != 0 {
 		t.Fatalf("τ=+inf reported %d", count)
 	}
@@ -87,7 +87,7 @@ func TestEMPrioritizedShape(t *testing.T) {
 	}
 	// Early termination still works through the canonical decomposition.
 	count := 0
-	e.ReportAbove(Halfspace{A: []float64{1, 0, 0, 0}, C: math.Inf(-1)}, math.Inf(-1),
+	e.ReportAbove(nil, Halfspace{A: []float64{1, 0, 0, 0}, C: math.Inf(-1)}, math.Inf(-1),
 		func(core.Item[PtN]) bool { count++; return count < 5 })
 	if count != 5 {
 		t.Fatalf("early stop visited %d", count)
@@ -111,7 +111,7 @@ func TestEMPrioritizedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	empty.ReportAbove(Halfspace{A: []float64{1, 0, 0}, C: 0}, 0, func(core.Item[PtN]) bool {
+	empty.ReportAbove(nil, Halfspace{A: []float64{1, 0, 0}, C: 0}, 0, func(core.Item[PtN]) bool {
 		count++
 		return true
 	})
@@ -139,7 +139,7 @@ func TestEMPrioritizedThroughTheorem1(t *testing.T) {
 		if k > len(want) {
 			k = len(want)
 		}
-		got := wc.TopK(q, 12)
+		got := wc.TopK(nil, q, 12)
 		if len(got) != k {
 			t.Fatalf("%d results, want %d", len(got), k)
 		}

@@ -96,7 +96,7 @@ func TestReporterAgainstOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		q := randHalfplane(g)
 		var got []core.Item[Pt2]
-		r.Report(q, func(it core.Item[Pt2]) bool {
+		r.Report(nil, q, func(it core.Item[Pt2]) bool {
 			got = append(got, it)
 			return true
 		})
@@ -110,8 +110,8 @@ func TestReporterAgainstOracle(t *testing.T) {
 				t.Fatalf("q=%+v: item %d = %v, want %v", q, i, got[i].Weight, want[i].Weight)
 			}
 		}
-		if r.NonEmpty(q) != (len(want) > 0) {
-			t.Fatalf("q=%+v: NonEmpty=%v but %d results", q, r.NonEmpty(q), len(want))
+		if r.NonEmpty(nil, q) != (len(want) > 0) {
+			t.Fatalf("q=%+v: NonEmpty=%v but %d results", q, r.NonEmpty(nil, q), len(want))
 		}
 	}
 }
@@ -121,7 +121,7 @@ func TestReporterEarlyStop(t *testing.T) {
 	items := genPoints2(g, 300)
 	r := NewReporter(items, nil)
 	count := 0
-	r.Report(Halfplane{A: 1, B: 0, C: math.Inf(-1)}, func(core.Item[Pt2]) bool {
+	r.Report(nil, Halfplane{A: 1, B: 0, C: math.Inf(-1)}, func(core.Item[Pt2]) bool {
 		count++
 		return count < 5
 	})
@@ -139,7 +139,7 @@ func TestReporterDuplicateCoordinates(t *testing.T) {
 	}
 	r := NewReporter(items, nil)
 	count := 0
-	r.Report(Halfplane{A: 1, B: 0, C: 0}, func(core.Item[Pt2]) bool {
+	r.Report(nil, Halfplane{A: 1, B: 0, C: 0}, func(core.Item[Pt2]) bool {
 		count++
 		return true
 	})
@@ -157,7 +157,7 @@ func TestMaxAgainstOracle2D(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		q := randHalfplane(g)
-		got, gok := m.MaxItem(q)
+		got, gok := m.MaxItem(nil, q)
 		want := oracleAbove2(items, q, math.Inf(-1))
 		if len(want) == 0 {
 			if gok {
@@ -182,7 +182,7 @@ func TestPrioritized2DAgainstOracle(t *testing.T) {
 		q := randHalfplane(g)
 		tau := g.Float64() * 1.2e6
 		var got []core.Item[Pt2]
-		p.ReportAbove(q, tau, func(it core.Item[Pt2]) bool {
+		p.ReportAbove(nil, q, tau, func(it core.Item[Pt2]) bool {
 			got = append(got, it)
 			return true
 		})
@@ -202,7 +202,7 @@ func TestPrioritized2DAgainstOracle(t *testing.T) {
 	core.SortByWeightDesc(sorted)
 	all := Halfplane{A: 1, B: 0, C: math.Inf(-1)}
 	count := 0
-	p.ReportAbove(all, sorted[5].Weight, func(core.Item[Pt2]) bool { count++; return true })
+	p.ReportAbove(nil, all, sorted[5].Weight, func(core.Item[Pt2]) bool { count++; return true })
 	if count != 6 {
 		t.Fatalf("tau at rank-6 weight reported %d, want 6", count)
 	}
@@ -271,7 +271,7 @@ func TestKDTreeAgainstOracle(t *testing.T) {
 			q := randHalfspace(g, d)
 			tau := g.Float64() * 1.2e6
 			var got []core.Item[PtN]
-			kd.ReportAbove(q, tau, func(it core.Item[PtN]) bool {
+			kd.ReportAbove(nil, q, tau, func(it core.Item[PtN]) bool {
 				got = append(got, it)
 				return true
 			})
@@ -285,7 +285,7 @@ func TestKDTreeAgainstOracle(t *testing.T) {
 					t.Fatalf("d=%d: item %d = %v, want %v", d, i, got[i].Weight, want[i].Weight)
 				}
 			}
-			gm, gok := kd.MaxItem(q)
+			gm, gok := kd.MaxItem(nil, q)
 			wantAll := oracleAboveN(items, q, math.Inf(-1))
 			if len(wantAll) == 0 {
 				if gok {
@@ -317,7 +317,7 @@ func TestKDTreeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := empty.MaxItem(Halfspace{A: []float64{1, 0, 0}, C: 0}); ok {
+	if _, ok := empty.MaxItem(nil, Halfspace{A: []float64{1, 0, 0}, C: 0}); ok {
 		t.Fatal("empty kd-tree found a max")
 	}
 }
@@ -328,7 +328,7 @@ func TestKDTreeEarlyStop(t *testing.T) {
 	kd, _ := NewKDTree(items, 4, nil)
 	all := Halfspace{A: []float64{1, 0, 0, 0}, C: math.Inf(-1)}
 	count := 0
-	kd.ReportAbove(all, math.Inf(-1), func(core.Item[PtN]) bool {
+	kd.ReportAbove(nil, all, math.Inf(-1), func(core.Item[PtN]) bool {
 		count++
 		return count < 9
 	})
@@ -354,7 +354,7 @@ func TestKDTreeSublinearVisits(t *testing.T) {
 			q := randHalfspace(g, 4)
 			q.C = math.Abs(q.C) + 25 // far halfspace: few/no results, pure search cost
 			before := tr.Stats().Reads
-			kd.ReportAbove(q, math.Inf(1), func(core.Item[PtN]) bool { return true })
+			kd.ReportAbove(nil, q, math.Inf(1), func(core.Item[PtN]) bool { return true })
 			total += tr.Stats().Reads - before
 		}
 		return float64(total) / queries
@@ -379,7 +379,7 @@ func TestPrioritized2DIOCharging(t *testing.T) {
 	tr.DropCache()
 	tr.ResetCounters()
 	count := 0
-	p.ReportAbove(randHalfplane(g), math.Inf(-1), func(core.Item[Pt2]) bool { count++; return true })
+	p.ReportAbove(nil, randHalfplane(g), math.Inf(-1), func(core.Item[Pt2]) bool { count++; return true })
 	if ios := tr.Stats().IOs(); count > 0 && ios == 0 {
 		t.Fatal("query charged no I/Os")
 	}

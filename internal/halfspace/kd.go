@@ -161,13 +161,13 @@ func (t *KDTree) build(items []core.Item[PtN], depth int) *kdnode {
 func (t *KDTree) N() int { return t.n }
 
 // ReportAbove implements core.Prioritized[Halfspace, PtN].
-func (t *KDTree) ReportAbove(q Halfspace, tau float64, emit func(core.Item[PtN]) bool) {
-	t.ReportAboveBox(q, tau, emit)
+func (t *KDTree) ReportAbove(v *em.QueryView, q Halfspace, tau float64, emit func(core.Item[PtN]) bool) {
+	t.ReportAboveBox(v, q, tau, emit)
 }
 
 // ReportAboveBox answers a prioritized query for any box-classifiable
-// predicate region (halfspaces, orthogonal boxes, balls, ...).
-func (t *KDTree) ReportAboveBox(q BoxQuery, tau float64, emit func(core.Item[PtN]) bool) {
+// predicate region (halfspaces, orthogonal boxes, balls, ...), charging v.
+func (t *KDTree) ReportAboveBox(v *em.QueryView, q BoxQuery, tau float64, emit func(core.Item[PtN]) bool) {
 	// visited is a per-query local so concurrent queries never share state.
 	var visited int64
 	emitted := 0
@@ -180,8 +180,8 @@ func (t *KDTree) ReportAboveBox(q BoxQuery, tau float64, emit func(core.Item[PtN
 			if search < 0 {
 				search = 0
 			}
-			t.tracker.PathCost(search)
-			t.tracker.ScanCost(emitted)
+			t.tracker.PathCost(v, search)
+			t.tracker.ScanCost(v, emitted)
 		}
 	}()
 	wrapped := func(it core.Item[PtN]) bool {
@@ -233,18 +233,19 @@ func (t *KDTree) reportSubtree(nd *kdnode, tau float64, emit func(core.Item[PtN]
 
 // MaxItem implements core.Max[Halfspace, PtN] by branch-and-bound on the
 // max-weight augmentation.
-func (t *KDTree) MaxItem(q Halfspace) (core.Item[PtN], bool) {
-	return t.MaxItemBox(q)
+func (t *KDTree) MaxItem(v *em.QueryView, q Halfspace) (core.Item[PtN], bool) {
+	return t.MaxItemBox(v, q)
 }
 
-// MaxItemBox answers a max query for any box-classifiable predicate.
-func (t *KDTree) MaxItemBox(q BoxQuery) (core.Item[PtN], bool) {
+// MaxItemBox answers a max query for any box-classifiable predicate,
+// charging v.
+func (t *KDTree) MaxItemBox(v *em.QueryView, q BoxQuery) (core.Item[PtN], bool) {
 	var visited int64
 	best := core.Item[PtN]{Weight: math.Inf(-1)}
 	found := false
 	t.maxSearch(t.root, q, &best, &found, &visited)
 	if t.tracker != nil {
-		t.tracker.PathCost(int(visited))
+		t.tracker.PathCost(v, int(visited))
 	}
 	return best, found
 }

@@ -81,23 +81,23 @@ func (r *Reporter) Layers() int { return len(r.layers) }
 
 // NonEmpty reports whether any point lies in q (an O(log n) hull-extreme
 // test on the outermost layer).
-func (r *Reporter) NonEmpty(q Halfplane) bool {
+func (r *Reporter) NonEmpty(v *em.QueryView, q Halfplane) bool {
 	if len(r.layers) == 0 {
 		return false
 	}
 	if r.tracker != nil {
-		r.tracker.PathCost(log2ceil(len(r.layers[0].verts)) + 1)
+		r.tracker.PathCost(v, log2ceil(len(r.layers[0].verts))+1)
 	}
 	return r.layers[0].hull.NonEmpty(q)
 }
 
 // Report emits every item inside q, stopping early if emit returns false.
-func (r *Reporter) Report(q Halfplane, emit func(core.Item[Pt2]) bool) {
+func (r *Reporter) Report(v *em.QueryView, q Halfplane, emit func(core.Item[Pt2]) bool) {
 	touched, emitted := 0, 0
 	defer func() {
 		if r.tracker != nil {
-			r.tracker.PathCost((touched + 1) * (log2ceil(r.n+1) + 1))
-			r.tracker.ScanCost(emitted)
+			r.tracker.PathCost(v, (touched+1)*(log2ceil(r.n+1)+1))
+			r.tracker.ScanCost(v, emitted)
 		}
 	}()
 	for li := range r.layers {
@@ -151,7 +151,7 @@ type hullEmptiness struct {
 	hull Hull
 }
 
-func (h hullEmptiness) NonEmpty(q Halfplane) bool { return h.hull.NonEmpty(q) }
+func (h hullEmptiness) NonEmpty(_ *em.QueryView, q Halfplane) bool { return h.hull.NonEmpty(q) }
 
 // NewEmptinessFactory builds hull-based emptiness structures (O(m log m)
 // build, O(log m) query, O(m) space).
@@ -231,7 +231,7 @@ func (p *Prioritized) build(items []core.Item[Pt2]) *pnode {
 func (p *Prioritized) N() int { return len(p.byW) }
 
 // ReportAbove implements core.Prioritized[Halfplane, Pt2].
-func (p *Prioritized) ReportAbove(q Halfplane, tau float64, emit func(core.Item[Pt2]) bool) {
+func (p *Prioritized) ReportAbove(v *em.QueryView, q Halfplane, tau float64, emit func(core.Item[Pt2]) bool) {
 	// {w ≥ τ} is a prefix of byW; cover it with canonical nodes.
 	lo, hi := 0, len(p.byW)
 	for lo < hi {
@@ -243,18 +243,18 @@ func (p *Prioritized) ReportAbove(q Halfplane, tau float64, emit func(core.Item[
 		}
 	}
 	if p.tracker != nil {
-		p.tracker.PathCost(log2ceil(len(p.byW)+1) + 1)
+		p.tracker.PathCost(v, log2ceil(len(p.byW)+1)+1)
 	}
-	p.query(p.root, lo, q, emit)
+	p.query(v, p.root, lo, q, emit)
 }
 
-func (p *Prioritized) query(nd *pnode, cnt int, q Halfplane, emit func(core.Item[Pt2]) bool) bool {
+func (p *Prioritized) query(v *em.QueryView, nd *pnode, cnt int, q Halfplane, emit func(core.Item[Pt2]) bool) bool {
 	if nd == nil || cnt <= 0 {
 		return true
 	}
 	if nd.rep == nil { // leaf: partial scan
 		if p.tracker != nil {
-			p.tracker.ScanCost(min(cnt, len(nd.items)))
+			p.tracker.ScanCost(v, min(cnt, len(nd.items)))
 		}
 		for _, it := range nd.items[:min(cnt, len(nd.items))] {
 			if q.Contains(it.Value) {
@@ -267,7 +267,7 @@ func (p *Prioritized) query(nd *pnode, cnt int, q Halfplane, emit func(core.Item
 	}
 	if cnt >= len(nd.items) {
 		stopped := false
-		nd.rep.Report(q, func(it core.Item[Pt2]) bool {
+		nd.rep.Report(v, q, func(it core.Item[Pt2]) bool {
 			if !emit(it) {
 				stopped = true
 				return false
@@ -278,20 +278,20 @@ func (p *Prioritized) query(nd *pnode, cnt int, q Halfplane, emit func(core.Item
 	}
 	lsize := len(nd.left.items)
 	if cnt <= lsize {
-		return p.query(nd.left, cnt, q, emit)
+		return p.query(v, nd.left, cnt, q, emit)
 	}
-	if !p.query(nd.left, lsize, q, emit) {
+	if !p.query(v, nd.left, lsize, q, emit) {
 		return false
 	}
-	return p.query(nd.right, cnt-lsize, q, emit)
+	return p.query(v, nd.right, cnt-lsize, q, emit)
 }
 
 // MaxItem also lets Prioritized serve as a (slower) max structure in
 // tests: the heaviest point in q via a canonical descent.
-func (p *Prioritized) MaxItem(q Halfplane) (core.Item[Pt2], bool) {
+func (p *Prioritized) MaxItem(v *em.QueryView, q Halfplane) (core.Item[Pt2], bool) {
 	best := core.Item[Pt2]{Weight: math.Inf(-1)}
 	found := false
-	p.query(p.root, len(p.byW), q, func(it core.Item[Pt2]) bool {
+	p.query(v, p.root, len(p.byW), q, func(it core.Item[Pt2]) bool {
 		if it.Weight > best.Weight {
 			best, found = it, true
 		}

@@ -84,4 +84,4 @@ type countAdapter[V Spanned] struct {
 	t *Tree[V]
 }
 
-func (c countAdapter[V]) Count(q float64) int { return c.t.Count(q) }
+func (c countAdapter[V]) Count(v *em.QueryView, q float64) int { return c.t.Count(v, q) }

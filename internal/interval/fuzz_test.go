@@ -56,7 +56,7 @@ func FuzzTreeOps(f *testing.F) {
 					}
 				}
 				got := 0
-				tree.ReportAbove(q, math.Inf(-1), func(it core.Item[Interval]) bool {
+				tree.ReportAbove(nil, q, math.Inf(-1), func(it core.Item[Interval]) bool {
 					if !it.Value.Contains(q) {
 						t.Fatalf("emitted non-containing interval %+v for q=%v", it.Value, q)
 					}
@@ -66,11 +66,11 @@ func FuzzTreeOps(f *testing.F) {
 				if got != want {
 					t.Fatalf("q=%v: reported %d, want %d", q, got, want)
 				}
-				m, ok := tree.MaxItem(q)
+				m, ok := tree.MaxItem(nil, q)
 				if ok != (want > 0) || (ok && m.Weight != bestW) {
 					t.Fatalf("q=%v: max (%v,%v), want (%v,%v)", q, m.Weight, ok, bestW, want > 0)
 				}
-				if c := tree.Count(q); c != want {
+				if c := tree.Count(nil, q); c != want {
 					t.Fatalf("q=%v: Count=%d, want %d", q, c, want)
 				}
 			}

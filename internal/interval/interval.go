@@ -197,10 +197,10 @@ func (t *Tree[V]) Len() int { return len(t.loc) }
 
 // ReportAbove implements core.Prioritized: emit every item containing q
 // with weight ≥ tau.
-func (t *Tree[V]) ReportAbove(q float64, tau float64, emit func(core.Item[V]) bool) {
+func (t *Tree[V]) ReportAbove(v *em.QueryView, q float64, tau float64, emit func(core.Item[V]) bool) {
 	emitted, pathNodes, restScanned := 0, 0, 0
 	defer func() {
-		t.chargeQuery(pathNodes, restScanned, emitted)
+		t.chargeQuery(v, pathNodes, restScanned, emitted)
 	}()
 
 	visit := func(k treap.Key, v V) bool {
@@ -238,7 +238,7 @@ func (t *Tree[V]) ReportAbove(q float64, tau float64, emit func(core.Item[V]) bo
 }
 
 // MaxItem implements core.Max: the heaviest item containing q.
-func (t *Tree[V]) MaxItem(q float64) (core.Item[V], bool) {
+func (t *Tree[V]) MaxItem(v *em.QueryView, q float64) (core.Item[V], bool) {
 	best := core.Item[V]{Weight: math.Inf(-1)}
 	found := false
 	pathNodes, restScanned := 0, 0
@@ -276,7 +276,7 @@ func (t *Tree[V]) MaxItem(q float64) (core.Item[V], bool) {
 			nd = nil
 		}
 	}
-	t.chargeQuery(pathNodes, restScanned, 0)
+	t.chargeQuery(v, pathNodes, restScanned, 0)
 	return best, found
 }
 
@@ -285,7 +285,7 @@ func (t *Tree[V]) MaxItem(q float64) (core.Item[V], bool) {
 // structure role in the Rahul–Janardan counting reduction (paper §2).
 // For interval stabbing exact counting is easy, which the paper notes
 // only improves that baseline.
-func (t *Tree[V]) Count(q float64) int {
+func (t *Tree[V]) Count(v *em.QueryView, q float64) int {
 	total, pathNodes := 0, 0
 	nd := t.root
 	for nd != nil {
@@ -308,7 +308,7 @@ func (t *Tree[V]) Count(q float64) int {
 		}
 	}
 	if t.tracker != nil {
-		t.tracker.PathCost(pathNodes)
+		t.tracker.PathCost(v, pathNodes)
 	}
 	return total
 }
@@ -389,7 +389,7 @@ func (t *Tree[V]) collect() []core.Item[V] {
 	return items
 }
 
-func (t *Tree[V]) chargeQuery(pathNodes, restScanned, emitted int) {
+func (t *Tree[V]) chargeQuery(v *em.QueryView, pathNodes, restScanned, emitted int) {
 	if t.tracker == nil {
 		return
 	}
@@ -397,8 +397,8 @@ func (t *Tree[V]) chargeQuery(pathNodes, restScanned, emitted int) {
 	// (O(log_B n) after blocking) plus the O(t/B) output term. The treap
 	// walks are the RAM work realizing that contract; see the package
 	// comment.
-	t.tracker.PathCost(pathNodes)
-	t.tracker.ScanCost(restScanned + emitted)
+	t.tracker.PathCost(v, pathNodes)
+	t.tracker.ScanCost(v, restScanned+emitted)
 }
 
 func (t *Tree[V]) chargeUpdate() {
@@ -406,8 +406,8 @@ func (t *Tree[V]) chargeUpdate() {
 		return
 	}
 	// One skeleton descent plus two treap updates: O(log n) nodes.
-	t.tracker.PathCost(2 * approxLog2(len(t.loc)+2))
-	t.tracker.ScanCost(1)
+	t.tracker.PathCost(nil, 2*approxLog2(len(t.loc)+2))
+	t.tracker.ScanCost(nil, 1)
 }
 
 func approxLog2(n int) int {

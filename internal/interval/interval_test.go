@@ -77,7 +77,7 @@ func TestTreeReportAboveAgainstOracle(t *testing.T) {
 		q := g.Float64() * 120
 		tau := g.Float64() * 1.2e6
 		var got []core.Item[Interval]
-		tree.ReportAbove(q, tau, func(it core.Item[Interval]) bool {
+		tree.ReportAbove(nil, q, tau, func(it core.Item[Interval]) bool {
 			got = append(got, it)
 			return true
 		})
@@ -106,7 +106,7 @@ func TestTreeQueryAtEndpointsAndCenters(t *testing.T) {
 	for _, it := range items {
 		for _, q := range []float64{it.Value.Lo, it.Value.Hi, (it.Value.Lo + it.Value.Hi) / 2} {
 			count := 0
-			tree.ReportAbove(q, math.Inf(-1), func(core.Item[Interval]) bool {
+			tree.ReportAbove(nil, q, math.Inf(-1), func(core.Item[Interval]) bool {
 				count++
 				return true
 			})
@@ -126,7 +126,7 @@ func TestTreeMaxAgainstOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		q := g.Float64() * 120
-		got, gok := tree.MaxItem(q)
+		got, gok := tree.MaxItem(nil, q)
 		want, wok := oracleMax(items, q)
 		if gok != wok {
 			t.Fatalf("q=%v: ok=%v, want %v", q, gok, wok)
@@ -142,7 +142,7 @@ func TestTreeEarlyStop(t *testing.T) {
 	items := genIntervals(g, 500)
 	tree, _ := NewTree(items, nil)
 	count := 0
-	tree.ReportAbove(50, math.Inf(-1), func(core.Item[Interval]) bool {
+	tree.ReportAbove(nil, 50, math.Inf(-1), func(core.Item[Interval]) bool {
 		count++
 		return count < 4
 	})
@@ -164,14 +164,14 @@ func TestTreeInsertDeleteChurn(t *testing.T) {
 		t.Helper()
 		for trial := 0; trial < 20; trial++ {
 			q := g.Float64() * 130
-			got, gok := tree.MaxItem(q)
+			got, gok := tree.MaxItem(nil, q)
 			want, wok := oracleMax(live, q)
 			if gok != wok || (gok && got.Weight != want.Weight) {
 				t.Fatalf("q=%v: max (%v,%v), want (%v,%v)", q, got.Weight, gok, want.Weight, wok)
 			}
 			count := 0
 			tau := g.Float64() * 1.2e6
-			tree.ReportAbove(q, tau, func(it core.Item[Interval]) bool {
+			tree.ReportAbove(nil, q, tau, func(it core.Item[Interval]) bool {
 				count++
 				return true
 			})
@@ -245,14 +245,14 @@ func TestTreeEmptyAndSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tree.MaxItem(5); ok {
+	if _, ok := tree.MaxItem(nil, 5); ok {
 		t.Fatal("empty tree found a max")
 	}
 	tree.Insert(core.Item[Interval]{Value: Interval{1, 3}, Weight: 42})
-	if it, ok := tree.MaxItem(2); !ok || it.Weight != 42 {
+	if it, ok := tree.MaxItem(nil, 2); !ok || it.Weight != 42 {
 		t.Fatalf("singleton MaxItem = %+v,%v", it, ok)
 	}
-	if _, ok := tree.MaxItem(9); ok {
+	if _, ok := tree.MaxItem(nil, 9); ok {
 		t.Fatal("found max outside the only interval")
 	}
 }
@@ -276,7 +276,7 @@ func TestTreeIOCharging(t *testing.T) {
 	}
 	tr.DropCache()
 	tr.ResetCounters()
-	tree.MaxItem(50)
+	tree.MaxItem(nil, 50)
 	maxIOs := tr.Stats().IOs()
 	if maxIOs == 0 {
 		t.Fatal("MaxItem charged no I/Os")
@@ -289,7 +289,7 @@ func TestTreeIOCharging(t *testing.T) {
 
 	tr.ResetCounters()
 	count := 0
-	tree.ReportAbove(50, math.Inf(-1), func(core.Item[Interval]) bool {
+	tree.ReportAbove(nil, 50, math.Inf(-1), func(core.Item[Interval]) bool {
 		count++
 		return true
 	})
@@ -318,7 +318,7 @@ func TestStabMax1DAgainstOracle(t *testing.T) {
 		probes = append(probes, it.Value.Lo, it.Value.Hi)
 	}
 	for _, q := range probes {
-		got, gok := s.MaxItem(q)
+		got, gok := s.MaxItem(nil, q)
 		want, wok := oracleMax(items, q)
 		if gok != wok {
 			t.Fatalf("q=%v: ok=%v, want %v", q, gok, wok)
@@ -355,7 +355,7 @@ func TestStabMax1DGapSemantics(t *testing.T) {
 		{6.5, 0, false}, // after everything
 	}
 	for _, c := range cases {
-		got, ok := s.MaxItem(c.q)
+		got, ok := s.MaxItem(nil, c.q)
 		if ok != c.wantOK {
 			t.Errorf("q=%v: ok=%v, want %v", c.q, ok, c.wantOK)
 			continue
@@ -376,7 +376,7 @@ func TestStabMax1DIOCost(t *testing.T) {
 	}
 	tr.DropCache()
 	tr.ResetCounters()
-	s.MaxItem(50)
+	s.MaxItem(nil, 50)
 	if ios := tr.Stats().IOs(); ios > 6 {
 		t.Errorf("MaxItem cost %d I/Os; want O(log_B n) ≈ 3-4", ios)
 	}
@@ -388,7 +388,7 @@ func TestStabMax1DEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.MaxItem(3); ok {
+	if _, ok := s.MaxItem(nil, 3); ok {
 		t.Fatal("empty structure found a max")
 	}
 }
@@ -400,7 +400,7 @@ func TestFactoriesRoundTrip(t *testing.T) {
 	pf := NewPrioritizedFactory[Interval](nil)
 	p := pf(items)
 	var got []core.Item[Interval]
-	p.ReportAbove(50, math.Inf(-1), func(it core.Item[Interval]) bool {
+	p.ReportAbove(nil, 50, math.Inf(-1), func(it core.Item[Interval]) bool {
 		got = append(got, it)
 		return true
 	})
@@ -410,7 +410,7 @@ func TestFactoriesRoundTrip(t *testing.T) {
 
 	mf := NewMaxFactory[Interval](nil)
 	m := mf(items)
-	gotM, gok := m.MaxItem(50)
+	gotM, gok := m.MaxItem(nil, 50)
 	wantM, wok := oracleMax(items, 50)
 	if gok != wok || (gok && gotM.Weight != wantM.Weight) {
 		t.Fatalf("factory max = (%v,%v), want (%v,%v)", gotM.Weight, gok, wantM.Weight, wok)
@@ -435,8 +435,8 @@ func TestSweepDeterministicOrderIndependence(t *testing.T) {
 	}
 	sort.Float64s(qs)
 	for _, q := range qs {
-		ga, oka := a.MaxItem(q)
-		gb, okb := b.MaxItem(q)
+		ga, oka := a.MaxItem(nil, q)
+		gb, okb := b.MaxItem(nil, q)
 		if oka != okb || (oka && ga.Weight != gb.Weight) {
 			t.Fatalf("q=%v: order-dependent answers %v/%v vs %v/%v", q, ga.Weight, oka, gb.Weight, okb)
 		}

@@ -98,12 +98,12 @@ func NewStabMax1D[V Spanned](items []core.Item[V], tracker *em.Tracker) (*StabMa
 func (s *StabMax1D[V]) Len() int { return s.idx.Len() }
 
 // MaxItem returns the heaviest interval containing q.
-func (s *StabMax1D[V]) MaxItem(q float64) (core.Item[V], bool) {
-	i := s.idx.PredecessorIdx(q) // charges O(log_B n) reads
+func (s *StabMax1D[V]) MaxItem(v *em.QueryView, q float64) (core.Item[V], bool) {
+	i := s.idx.PredecessorIdx(v, q) // charges O(log_B n) reads
 	if i < 0 {
 		return core.Item[V]{}, false
 	}
-	return s.AnswerAt(i, s.idx.Key(i) == q)
+	return s.AnswerAt(v, i, s.idx.Key(i) == q)
 }
 
 // Boundaries returns the sorted region-boundary coordinates; read-only.
@@ -113,9 +113,9 @@ func (s *StabMax1D[V]) Boundaries() []float64 { return s.idx.Keys() }
 
 // AnswerAt returns the stabbing-max answer for the region selected by
 // boundary index i: the point region {boundary_i} when exact, otherwise
-// the open gap following it. One block read is charged for the answer
-// lookup.
-func (s *StabMax1D[V]) AnswerAt(i int, exact bool) (core.Item[V], bool) {
+// the open gap following it. One block read is charged to v for the
+// answer lookup.
+func (s *StabMax1D[V]) AnswerAt(v *em.QueryView, i int, exact bool) (core.Item[V], bool) {
 	if i < 0 || i >= len(s.atPoint) {
 		return core.Item[V]{}, false
 	}
@@ -128,7 +128,7 @@ func (s *StabMax1D[V]) AnswerAt(i int, exact bool) (core.Item[V], bool) {
 		if int64(blk) >= s.blocks {
 			blk = em.BlockID(s.blocks - 1)
 		}
-		s.tracker.Read(s.run + blk)
+		s.tracker.Read(v, s.run+blk)
 	}
 	if exact {
 		return s.atPoint[i], s.okPoint[i]

@@ -215,6 +215,29 @@ func TestSlowQueryLogRingAndWriter(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLogConcurrentRecords has parallel query workers record
+// into one log whose writer is not safe for concurrent use: entries must
+// arrive whole (and the race detector must stay quiet).
+func TestSlowQueryLogConcurrentRecords(t *testing.T) {
+	var sb strings.Builder
+	l := NewSlowQueryLog(&sb, 1, 4)
+	const workers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				l.Record("iv", "q", time.Millisecond, em.Stats{Reads: 2}, nil, SlowMeta{})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := strings.Count(sb.String(), "slow query index=iv ios=2 "); got != workers*each {
+		t.Fatalf("writer holds %d whole entries, want %d", got, workers*each)
+	}
+}
+
 func TestMetricsConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	qm := NewQueryMetrics(r, "iv")

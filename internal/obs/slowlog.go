@@ -53,7 +53,9 @@ type SlowMeta struct {
 
 // Record logs one slow query. query is a human-readable description of
 // the query (already formatted by the caller, so the hot path never
-// pays for formatting unless the threshold fired).
+// pays for formatting unless the threshold fired). Concurrent calls are
+// safe and write whole entries to w one at a time, so w need not be safe
+// for concurrent use.
 func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats, events []em.TraceEvent, meta SlowMeta) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "slow query index=%s ios=%d reads=%d writes=%d hits=%d latency=%s",
@@ -80,12 +82,10 @@ func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats,
 		l.ring[l.next] = entry
 		l.next = (l.next + 1) % cap(l.ring)
 	}
-	w := l.w
-	l.mu.Unlock()
-
-	if w != nil {
-		io.WriteString(w, entry)
+	if l.w != nil {
+		io.WriteString(l.w, entry)
 	}
+	l.mu.Unlock()
 }
 
 // Recent returns the retained entries, oldest first.

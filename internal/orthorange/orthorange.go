@@ -89,19 +89,19 @@ func NewIndex(items []core.Item[halfspace.PtN], d int, tracker *em.Tracker) (*In
 func (ix *Index) N() int { return ix.kd.N() }
 
 // ReportAbove implements core.Prioritized[Box, halfspace.PtN].
-func (ix *Index) ReportAbove(q Box, tau float64, emit func(core.Item[halfspace.PtN]) bool) {
+func (ix *Index) ReportAbove(v *em.QueryView, q Box, tau float64, emit func(core.Item[halfspace.PtN]) bool) {
 	if !q.Valid(ix.d) {
 		return
 	}
-	ix.kd.ReportAboveBox(q, tau, emit)
+	ix.kd.ReportAboveBox(v, q, tau, emit)
 }
 
 // MaxItem implements core.Max[Box, halfspace.PtN].
-func (ix *Index) MaxItem(q Box) (core.Item[halfspace.PtN], bool) {
+func (ix *Index) MaxItem(v *em.QueryView, q Box) (core.Item[halfspace.PtN], bool) {
 	if !q.Valid(ix.d) {
 		return core.Item[halfspace.PtN]{}, false
 	}
-	return ix.kd.MaxItemBox(q)
+	return ix.kd.MaxItemBox(v, q)
 }
 
 // NewPrioritizedFactory adapts the index to the reduction factory

@@ -77,7 +77,7 @@ func TestIndexAgainstOracle(t *testing.T) {
 			tau := g.Float64() * 1.2e6
 
 			var got []core.Item[halfspace.PtN]
-			ix.ReportAbove(q, tau, func(it core.Item[halfspace.PtN]) bool {
+			ix.ReportAbove(nil, q, tau, func(it core.Item[halfspace.PtN]) bool {
 				got = append(got, it)
 				return true
 			})
@@ -100,7 +100,7 @@ func TestIndexAgainstOracle(t *testing.T) {
 					t.Fatalf("d=%d: out-of-range emission %+v", d, it)
 				}
 			}
-			m, ok := ix.MaxItem(q)
+			m, ok := ix.MaxItem(nil, q)
 			if ok != any || (ok && m.Weight != bestW) {
 				t.Fatalf("d=%d: max (%v,%v), want (%v,%v)", d, m.Weight, ok, bestW, any)
 			}
@@ -133,8 +133,8 @@ func TestIndexThroughReductions(t *testing.T) {
 		}
 		want := core.TopKOf(wrapW(ws), 12)
 		for name, topkFn := range map[string]func() []core.Item[halfspace.PtN]{
-			"expected":  func() []core.Item[halfspace.PtN] { return exp.TopK(q, 12) },
-			"worstcase": func() []core.Item[halfspace.PtN] { return wc.TopK(q, 12) },
+			"expected":  func() []core.Item[halfspace.PtN] { return exp.TopK(nil, q, 12) },
+			"worstcase": func() []core.Item[halfspace.PtN] { return wc.TopK(nil, q, 12) },
 		} {
 			got := topkFn()
 			if len(got) != len(want) {
@@ -165,11 +165,11 @@ func TestIndexValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Malformed queries return nothing rather than panicking.
-	if _, ok := ix.MaxItem(Box{Lo: []float64{5, 5}, Hi: []float64{1, 1}}); ok {
+	if _, ok := ix.MaxItem(nil, Box{Lo: []float64{5, 5}, Hi: []float64{1, 1}}); ok {
 		t.Error("reversed box matched")
 	}
 	count := 0
-	ix.ReportAbove(Box{Lo: []float64{0}, Hi: []float64{1}}, 0, func(core.Item[halfspace.PtN]) bool {
+	ix.ReportAbove(nil, Box{Lo: []float64{0}, Hi: []float64{1}}, 0, func(core.Item[halfspace.PtN]) bool {
 		count++
 		return true
 	})
@@ -198,7 +198,7 @@ func TestIOCharging(t *testing.T) {
 	tr.DropCache()
 	tr.ResetCounters()
 	count := 0
-	ix.ReportAbove(randBox(g, 2), math.Inf(-1), func(core.Item[halfspace.PtN]) bool {
+	ix.ReportAbove(nil, randBox(g, 2), math.Inf(-1), func(core.Item[halfspace.PtN]) bool {
 		count++
 		return true
 	})

@@ -81,23 +81,23 @@ func NewPoints(items []core.Item[float64], tracker *em.Tracker) (*Points, error)
 func (p *Points) Len() int { return p.tr.Len() }
 
 // ReportAbove implements core.Prioritized[Span, float64].
-func (p *Points) ReportAbove(q Span, tau float64, emit func(core.Item[float64]) bool) {
+func (p *Points) ReportAbove(v *em.QueryView, q Span, tau float64, emit func(core.Item[float64]) bool) {
 	emitted := 0
 	p.tr.RangeReportAbove(q.Lo, q.Hi, tau, func(k treap.Key, _ struct{}) bool {
 		emitted++
 		return emit(core.Item[float64]{Value: k.K, Weight: k.W})
 	})
 	if p.tracker != nil {
-		p.tracker.PathCost(2 * log2ceil(p.tr.Len()+2))
-		p.tracker.ScanCost(emitted)
+		p.tracker.PathCost(v, 2*log2ceil(p.tr.Len()+2))
+		p.tracker.ScanCost(v, emitted)
 	}
 }
 
 // MaxItem implements core.Max[Span, float64].
-func (p *Points) MaxItem(q Span) (core.Item[float64], bool) {
+func (p *Points) MaxItem(v *em.QueryView, q Span) (core.Item[float64], bool) {
 	k, _, ok := p.tr.RangeMax(q.Lo, q.Hi)
 	if p.tracker != nil {
-		p.tracker.PathCost(2 * log2ceil(p.tr.Len()+2))
+		p.tracker.PathCost(v, 2*log2ceil(p.tr.Len()+2))
 	}
 	if !ok {
 		return core.Item[float64]{}, false
@@ -107,9 +107,9 @@ func (p *Points) MaxItem(q Span) (core.Item[float64], bool) {
 
 // Count returns |q(D)| in O(log n), a conventional extra the 1D problem
 // supports exactly (most query algorithms in the literature use it).
-func (p *Points) Count(q Span) int {
+func (p *Points) Count(v *em.QueryView, q Span) int {
 	if p.tracker != nil {
-		p.tracker.PathCost(2 * log2ceil(p.tr.Len()+2))
+		p.tracker.PathCost(v, 2*log2ceil(p.tr.Len()+2))
 	}
 	return p.tr.RangeCount(q.Lo, q.Hi)
 }
@@ -138,8 +138,8 @@ func (p *Points) DeleteWeight(w float64) bool {
 
 func (p *Points) chargeUpdate() {
 	if p.tracker != nil {
-		p.tracker.PathCost(log2ceil(p.tr.Len() + 2))
-		p.tracker.ScanCost(1)
+		p.tracker.PathCost(nil, log2ceil(p.tr.Len()+2))
+		p.tracker.ScanCost(nil, 1)
 	}
 }
 

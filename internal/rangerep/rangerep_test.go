@@ -59,7 +59,7 @@ func TestPointsAgainstOracle(t *testing.T) {
 		tau := g.Float64() * 1.2e6
 
 		var got []core.Item[float64]
-		p.ReportAbove(q, tau, func(it core.Item[float64]) bool {
+		p.ReportAbove(nil, q, tau, func(it core.Item[float64]) bool {
 			got = append(got, it)
 			return true
 		})
@@ -75,7 +75,7 @@ func TestPointsAgainstOracle(t *testing.T) {
 		}
 
 		all := oracleAbove(items, q, math.Inf(-1))
-		m, ok := p.MaxItem(q)
+		m, ok := p.MaxItem(nil, q)
 		if len(all) == 0 {
 			if ok {
 				t.Fatalf("q=%+v: found max in empty range", q)
@@ -83,7 +83,7 @@ func TestPointsAgainstOracle(t *testing.T) {
 		} else if !ok || m.Weight != all[0].Weight {
 			t.Fatalf("q=%+v: max (%v,%v), want %v", q, m.Weight, ok, all[0].Weight)
 		}
-		if c := p.Count(q); c != len(all) {
+		if c := p.Count(nil, q); c != len(all) {
 			t.Fatalf("q=%+v: Count=%d, want %d", q, c, len(all))
 		}
 	}
@@ -116,7 +116,7 @@ func TestPointsUpdates(t *testing.T) {
 		}
 		q := Span{20, 70}
 		count := 0
-		p.ReportAbove(q, math.Inf(-1), func(core.Item[float64]) bool { count++; return true })
+		p.ReportAbove(nil, q, math.Inf(-1), func(core.Item[float64]) bool { count++; return true })
 		if want := len(oracleAbove(live, q, math.Inf(-1))); count != want {
 			t.Fatalf("round %d: reported %d, want %d", round, count, want)
 		}
@@ -146,7 +146,7 @@ func TestPointsIOCharging(t *testing.T) {
 	}
 	tr.DropCache()
 	tr.ResetCounters()
-	p.MaxItem(Span{10, 90})
+	p.MaxItem(nil, Span{10, 90})
 	if ios := tr.Stats().IOs(); ios == 0 || ios > 10 {
 		t.Errorf("MaxItem charged %d I/Os; want a handful (log_B n)", ios)
 	}
@@ -166,7 +166,7 @@ func TestReductionIntegration(t *testing.T) {
 		lo := g.Float64() * 100
 		q := Span{lo, lo + g.Float64()*40}
 		for _, k := range []int{1, 10, 500} {
-			got := exp.TopK(q, k)
+			got := exp.TopK(nil, q, k)
 			want := oracleAbove(items, q, math.Inf(-1))
 			if k < len(want) {
 				want = want[:k]
@@ -209,8 +209,8 @@ func TestQuickCountMatchesReport(t *testing.T) {
 		}
 		q := Span{lo, hi}
 		count := 0
-		p.ReportAbove(q, math.Inf(-1), func(core.Item[float64]) bool { count++; return true })
-		return p.Count(q) == count
+		p.ReportAbove(nil, q, math.Inf(-1), func(core.Item[float64]) bool { count++; return true })
+		return p.Count(nil, q) == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -122,11 +122,11 @@ func newIndexObs(name string, o Options, tracker *em.Tracker) *indexObs {
 }
 
 // start snapshots the clock and shared counters ahead of a single
-// (non-batch) query. Inside a query view it returns a zero time so done
-// no-ops: the view's end already reports that query exactly, and the
-// batch path adds its own latency/slow-log accounting.
+// shared-path query. Batch queries never come through here: each view's
+// end already reports its query exactly, and runBatch adds its own
+// latency/slow-log accounting.
 func (ob *indexObs) start() (time.Time, em.Stats) {
-	if ob == nil || ob.tracker.InView() {
+	if ob == nil {
 		return time.Time{}, em.Stats{}
 	}
 	return time.Now(), ob.tracker.Stats()
@@ -137,7 +137,7 @@ func (ob *indexObs) start() (time.Time, em.Stats) {
 // gives exact per-query numbers). desc is only invoked when a slow-query
 // entry actually fires.
 func (ob *indexObs) done(t0 time.Time, before em.Stats, desc func() string) {
-	if ob == nil || t0.IsZero() {
+	if ob == nil {
 		return
 	}
 	d := time.Since(t0)

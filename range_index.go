@@ -94,10 +94,10 @@ func (ix *RangeIndex[T]) Max(lo, hi float64) (PointItem1[T], bool) {
 func (ix *RangeIndex[T]) Count(lo, hi float64) int {
 	q := rangerep.Span{Lo: lo, Hi: hi}
 	if p, ok := ix.eng.pri.(*rangerep.Points); ok {
-		return p.Count(q)
+		return p.Count(nil, q)
 	}
 	n := 0
-	ix.eng.pri.ReportAbove(q, math.Inf(-1), func(core.Item[float64]) bool {
+	ix.eng.pri.ReportAbove(nil, q, math.Inf(-1), func(core.Item[float64]) bool {
 		n++
 		return true
 	})

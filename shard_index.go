@@ -102,10 +102,10 @@ func (ix *ShardedRangeIndex[T]) Count(lo, hi float64) int {
 	n := 0
 	for _, e := range ix.shards {
 		if p, ok := e.pri.(*rangerep.Points); ok {
-			n += p.Count(q)
+			n += p.Count(nil, q)
 			continue
 		}
-		e.pri.ReportAbove(q, math.Inf(-1), func(core.Item[float64]) bool {
+		e.pri.ReportAbove(nil, q, math.Inf(-1), func(core.Item[float64]) bool {
 			n++
 			return true
 		})

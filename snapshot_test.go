@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"topk/internal/snap"
@@ -395,5 +396,87 @@ func TestSnapshotReshard(t *testing.T) {
 		if got, want := answersOf(re, qs), answersOf(sv, qs); !reflect.DeepEqual(got, want) {
 			t.Fatalf("resharded(%d) answers diverge from original", shards)
 		}
+	}
+}
+
+// TestSnapshotConcurrentWithQueryBatch checkpoints an index while two
+// goroutines run QueryBatch on it, as topk-serve does when it snapshots
+// under a read lock with queries in flight. The checkpoint must not
+// disturb the queries: no panic, every batch equal to one run without a
+// concurrent snapshot (per-query Stats included), and each snapshot
+// restoring to identical answers.
+func TestSnapshotConcurrentWithQueryBatch(t *testing.T) {
+	for _, c := range []struct {
+		problem string
+		opts    []Option
+	}{
+		{"interval", []Option{WithReduction(Expected)}},
+		{"ortho", []Option{WithUpdates()}},
+	} {
+		t.Run(c.problem, func(t *testing.T) {
+			spec, ok := ProblemByName(c.problem)
+			if !ok {
+				t.Fatalf("%s not registered", c.problem)
+			}
+			sv, err := spec.Build(confN, confSeed, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k = 10
+			qs := sv.GenQueries(32, confQSeed)
+			want := sv.QueryBatch(qs, k, 2)
+
+			// The queriers loop until every snapshot is written, so the
+			// snapshots run while query views are open.
+			const snapshots = 3
+			stop := make(chan struct{})
+			started := make(chan struct{}, 2)
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					started <- struct{}{}
+					for i := 0; ; i++ {
+						if got := sv.QueryBatch(qs, k, 2); !reflect.DeepEqual(got, want) {
+							t.Errorf("querier %d batch %d differs from the run without a snapshot", g, i)
+							return
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}(g)
+			}
+			<-started
+			<-started
+			dirs := make([]string, snapshots)
+			for i := range dirs {
+				dirs[i] = t.TempDir()
+				if err := sv.Snapshot(dirs[i]); err != nil {
+					t.Errorf("snapshot %d: %v", i, err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			for i, dir := range dirs {
+				restored, err := spec.Restore(dir)
+				if err != nil {
+					t.Fatalf("restore snapshot %d: %v", i, err)
+				}
+				got := restored.QueryBatch(qs, k, 2)
+				for qi := range qs {
+					if !reflect.DeepEqual(got[qi].Items, want[qi].Items) {
+						t.Fatalf("snapshot %d, query %d: restored answer %v, want %v", i, qi, got[qi].Items, want[qi].Items)
+					}
+				}
+			}
+		})
 	}
 }
