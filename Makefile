@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-json bench-check experiments validate examples serve-smoke snap-smoke disk-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
+.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-json bench-check experiments validate examples serve-smoke snap-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
 
 all: build vet test
 
@@ -49,7 +49,6 @@ fuzz:
 	$(GO) test -fuzz FuzzDynamicDominance -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzShardedInterval -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME) -run '^$$' .
-	$(GO) test -fuzz FuzzBlockStore -fuzztime $(FUZZTIME) -run '^$$' ./internal/em/diskstore/
 
 # Brief fuzz pass over just the oracle-diff targets: cheap enough for
 # every CI run, still long enough to shake out op-sequence bugs.
@@ -59,15 +58,14 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDynamicDominance -fuzztime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzShardedInterval -fuzztime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime 5s -run '^$$' .
-	$(GO) test -fuzz FuzzBlockStore -fuzztime 5s -run '^$$' ./internal/em/diskstore/
 
 # Coverage floors on the packages whose correctness the test pyramid leans
 # on: the dynamization overlay, the reduction framework, the snapshot
-# codec, the disk-backed block store, the cluster serving tier, and the
-# root package holding the problem-descriptor engine, registry, and
+# codec, the EM cost tracker, the cluster serving tier, and the root
+# package holding the problem-descriptor engine, registry, and
 # persistence layer.
 cover:
-	@for pkg in ./internal/dynamic ./internal/core ./internal/snap ./internal/em/diskstore ./internal/cluster .; do \
+	@for pkg in ./internal/dynamic ./internal/core ./internal/snap ./internal/em ./internal/cluster .; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 		echo "$$pkg coverage: $$pct%"; \
 		awk -v p="$$pct" 'BEGIN { exit !(p >= 70) }' || { echo "FAIL: $$pkg coverage $$pct% is below the 70% floor"; exit 1; }; \
@@ -81,19 +79,16 @@ bench:
 bench-parallel:
 	$(GO) test -bench 'BenchmarkParallel' -benchtime 20x .
 
-# Regenerate the EXPERIMENTS.md tables (E1-E30, E32).
+# Regenerate the EXPERIMENTS.md tables (E1-E29, E32).
 experiments:
 	$(GO) run ./cmd/topk-bench -seed 42
 
 # Regenerate the benchmark-regression baseline for this PR. Commit the
 # result whenever a cost change is intentional; bench-check diffs
-# against the newest checked-in baseline. -disk adds the real-I/O row
-# family (physical preads+pwrites on the disk-backed store), which is
-# deterministic because physical traffic mirrors the logical trace
-# one-for-one (DESIGN.md §13).
-BENCH_BASELINE = BENCH_PR10.json
+# against the newest checked-in baseline.
+BENCH_BASELINE = BENCH_PR15.json
 bench-json:
-	$(GO) run ./cmd/topk-bench -disk -io-json $(BENCH_BASELINE)
+	$(GO) run ./cmd/topk-bench -io-json $(BENCH_BASELINE)
 
 # The CI cost gate: emit a fresh snapshot and diff it against the newest
 # checked-in BENCH_*.json. Deterministic I/O counts must not rise; wall
@@ -101,7 +96,7 @@ bench-json:
 bench-check:
 	@base=$$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1); \
 	[ -n "$$base" ] || { echo "FAIL: no BENCH_*.json baseline checked in; run make bench-json"; exit 1; }; \
-	$(GO) run ./cmd/topk-bench -disk -io-json /tmp/topk-bench-current.json; \
+	$(GO) run ./cmd/topk-bench -io-json /tmp/topk-bench-current.json; \
 	echo "bench-check: diffing against $$base"; \
 	$(GO) run ./cmd/benchdiff "$$base" /tmp/topk-bench-current.json
 
@@ -179,42 +174,6 @@ snap-smoke:
 	warm=$$(curl -sf -X POST http://127.0.0.1:18101/query -d '{"queries":[10,50,90],"k":5}' | sed 's/"elapsed":"[^"]*",//'); \
 	[ "$$cold" = "$$warm" ] || { echo "FAIL: warm-start answers differ from cold build"; echo "cold: $$cold"; echo "warm: $$warm"; exit 1; }; \
 	echo "snap-smoke: ok"
-
-# End-to-end smoke of the disk-backed block store: boot topk-serve with
-# -disk-dir so every EM block pages through a real file, answer a query,
-# assert the topk_store_* gauges show real traffic and zero faults, then
-# crash the server with SIGKILL (leaving the block file behind) and
-# restart over the same directory — recovery must reopen/reinitialize
-# the file and answer the same query byte-identically.
-disk-smoke:
-	$(GO) build -o /tmp/topk-serve ./cmd/topk-serve
-	@rm -rf /tmp/topk-disk-smoke && mkdir -p /tmp/topk-disk-smoke
-	@pids=""; trap 'kill -9 $$pids 2>/dev/null' EXIT INT TERM; \
-	/tmp/topk-serve -addr 127.0.0.1:18102 -n 5000 -disk-dir /tmp/topk-disk-smoke & \
-	pid=$$!; pids="$$pids $$pid"; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://127.0.0.1:18102/healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	cold=$$(curl -sf -X POST http://127.0.0.1:18102/query -d '{"queries":[10,50,90],"k":5}' | sed 's/"elapsed":"[^"]*",//'); \
-	echo "$$cold" | grep -q '"ios"' || { echo "FAIL: /query on the disk-backed store"; exit 1; }; \
-	metrics=$$(curl -sf http://127.0.0.1:18102/metrics); \
-	reads=$$(echo "$$metrics" | sed -n 's/^topk_store_reads_total{index="interval",policy="lru"} //p'); \
-	[ -n "$$reads" ] && [ "$$reads" -gt 0 ] || { echo "FAIL: topk_store_reads_total = '$$reads', want > 0"; exit 1; }; \
-	echo "$$metrics" | grep -q '^topk_store_faults_total{index="interval",policy="lru"} 0' \
-		|| { echo "FAIL: store faults reported on a healthy run"; exit 1; }; \
-	kill -9 $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	ls /tmp/topk-disk-smoke/*.tkbs >/dev/null 2>&1 || { echo "FAIL: crash left no block file behind"; exit 1; }; \
-	/tmp/topk-serve -addr 127.0.0.1:18102 -n 5000 -disk-dir /tmp/topk-disk-smoke & \
-	pid=$$!; pids="$$pids $$pid"; \
-	for i in $$(seq 1 50); do \
-		curl -sf http://127.0.0.1:18102/healthz >/dev/null 2>&1 && break; sleep 0.2; \
-	done; \
-	recovered=$$(curl -sf -X POST http://127.0.0.1:18102/query -d '{"queries":[10,50,90],"k":5}' | sed 's/"elapsed":"[^"]*",//'); \
-	[ "$$cold" = "$$recovered" ] || { echo "FAIL: answers differ after crash recovery"; \
-		echo "cold:      $$cold"; echo "recovered: $$recovered"; exit 1; }; \
-	curl -sf http://127.0.0.1:18102/metrics | grep -q '^topk_store_faults_total{index="interval",policy="lru"} 0' \
-		|| { echo "FAIL: store faults after crash recovery"; exit 1; }; \
-	echo "disk-smoke: ok"
 
 # End-to-end smoke of the request-lifecycle surface: boot topk-serve
 # with no budgets, drive a 2-second open-loop loadgen burst, and assert
@@ -391,4 +350,4 @@ clean:
 # What CI runs (.github/workflows/ci.yml), runnable locally. CI
 # additionally runs staticcheck and govulncheck, which are not vendored
 # here.
-ci: build vet fmt-check test race cover fuzz-smoke serve-smoke snap-smoke disk-smoke load-smoke ingest-smoke cluster-smoke bench-check
+ci: build vet fmt-check test race cover fuzz-smoke serve-smoke snap-smoke load-smoke ingest-smoke cluster-smoke bench-check

@@ -12,7 +12,6 @@
 //	topk-bench -metrics -      # Prometheus snapshot of a reference workload to stdout
 //	topk-bench -metrics m.prom # ... or to a file
 //	topk-bench -io-json b.json # benchmark-regression snapshot (see cmd/benchdiff)
-//	topk-bench -disk -io-json b.json # ... plus disk-backed real-I/O rows (E30 family)
 package main
 
 import (
@@ -33,7 +32,6 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments and exit")
 		metrics = flag.String("metrics", "", "run an instrumented reference workload and write its Prometheus snapshot to this file (\"-\" = stdout), then exit")
 		ioJSON  = flag.String("io-json", "", "run the pinned regression workload and write its JSON snapshot to this file (\"-\" = stdout), then exit")
-		disk    = flag.Bool("disk", false, "with -io-json: rebuild the workload on the disk-backed block store and add \"disk/...\" rows counting physical preads+pwrites")
 	)
 	flag.Parse()
 
@@ -48,7 +46,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := bench.WriteRegressJSON(out, bench.Config{Seed: *seed, Disk: *disk}); err != nil {
+		if err := bench.WriteRegressJSON(out, bench.Config{Seed: *seed}); err != nil {
 			fmt.Fprintf(os.Stderr, "topk-bench: %v\n", err)
 			os.Exit(1)
 		}

@@ -188,7 +188,6 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "default /query parallelism (0 = GOMAXPROCS)")
 		snapDir     = flag.String("snapshot-dir", "", "snapshot directory: restore from it on boot if present, checkpoint into it (empty disables)")
 		checkEvery  = flag.Duration("checkpoint-every", 0, "checkpoint into -snapshot-dir at this interval (0 disables)")
-		diskDir     = flag.String("disk-dir", "", "page EM blocks through a real file in this directory (empty keeps the in-memory simulator)")
 		slowKeep    = flag.Int("slow-keep", 64, "slow-query entries retained for /debug/slow")
 		queryLog    = flag.String("query-log", "", "append one JSON wide event per query to this file (\"-\" = stderr, empty disables)")
 		ioBudget    = flag.Int64("io-budget", 0, "per-query, per-shard I/O budget (0 = unlimited, -1 = auto-derive from a calibration batch)")
@@ -225,7 +224,7 @@ func main() {
 	}
 
 	slow := newRingWriter(*slowKeep)
-	srv, err := buildServer(*problem, *n, *shards, *seed, *slowIOs, *parallelism, *snapDir, *diskDir, *slowKeep, slow, qlogW, extra...)
+	srv, err := buildServer(*problem, *n, *shards, *seed, *slowIOs, *parallelism, *snapDir, *slowKeep, slow, qlogW, extra...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "topk-serve: %v\n", err)
 		os.Exit(1)
@@ -305,12 +304,7 @@ func main() {
 // a warm start at O(size/B) read I/Os — instead of built; the restore
 // keeps the snapshot's reduction, shard count, and seed, so -n and
 // -shards are ignored on that path.
-//
-// A non-empty diskDir attaches a file-backed block store: every cache
-// miss becomes a real pread against a block file under diskDir, and the
-// topk_store_* metric series report the physical traffic. Answers and
-// logical I/O counts are identical to the in-memory simulator.
-func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, parallelism int, snapDir, diskDir string, slowKeep int, slow *ringWriter, qlogW io.Writer, extra ...topk.Option) (*server, error) {
+func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, parallelism int, snapDir string, slowKeep int, slow *ringWriter, qlogW io.Writer, extra ...topk.Option) (*server, error) {
 	spec, ok := topk.ProblemByName(problem)
 	if !ok {
 		return nil, fmt.Errorf("unknown problem %q (want one of: %s)", problem, strings.Join(topk.ProblemNames(), ", "))
@@ -322,9 +316,6 @@ func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, para
 	}
 	if qlogW != nil {
 		opts = append(opts, topk.WithQueryLog(qlogW))
-	}
-	if diskDir != "" {
-		opts = append(opts, topk.WithDiskStore(diskDir))
 	}
 	if snapDir != "" {
 		if mf, err := topk.ReadManifest(snapDir); err == nil {

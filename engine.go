@@ -123,13 +123,8 @@ func (e *engine[Q, V, It]) validateItem(it It) error {
 // items, options, and seed.
 func newEngine[Q, V, It any](p problem[Q, V, It], items []It, opts []Option) (*engine[Q, V, It], error) {
 	o := applyOptions(opts)
-	tracker, err := o.newTracker()
-	if err != nil {
-		return nil, err
-	}
-	e := &engine[Q, V, It]{p: p, opts: o, tracker: tracker}
+	e := &engine[Q, V, It]{p: p, opts: o, tracker: o.newTracker()}
 	if err := e.init(items); err != nil {
-		tracker.Close()
 		return nil, err
 	}
 	return e, nil
@@ -383,19 +378,6 @@ func (e *engine[Q, V, It]) Stats() Stats { return statsOf(e.tracker, e.opts.redu
 // ResetStats zeroes the I/O counters (space is preserved).
 func (e *engine[Q, V, It]) ResetStats() { e.tracker.ResetCounters() }
 
-// StoreStats returns the physical operation counters of the engine's
-// disk store (all zero without WithDiskStore).
-func (e *engine[Q, V, It]) StoreStats() StoreStats { return publicStoreStats(e.tracker.StoreStats()) }
-
-// CacheStats returns the EM frame cache's policy decision counters.
-func (e *engine[Q, V, It]) CacheStats() CacheStats { return publicCacheStats(e.tracker.CacheStats()) }
-
-// StoreErr returns the first disk-store failure observed, nil if none.
-func (e *engine[Q, V, It]) StoreErr() error { return e.tracker.StoreErr() }
-
-// Close releases the engine's disk store, if any; idempotent.
-func (e *engine[Q, V, It]) Close() error { return e.tracker.Close() }
-
 // QueryBatch answers one top-k query per element of qs on a bounded pool
 // of `parallelism` worker goroutines, each query inside its own tracker
 // view (see batch.go for the full contract).
@@ -537,27 +519,6 @@ func (f *facade[Q, V, It]) ResetStats() { f.eng.ResetStats() }
 // WriteMetrics renders the index's metrics registry in Prometheus text
 // exposition format. It errors unless the index was built WithMetrics.
 func (f *facade[Q, V, It]) WriteMetrics(w io.Writer) error { return f.eng.WriteMetrics(w) }
-
-// StoreStats returns the physical operation counters of the index's
-// disk store. All zero unless the index was built WithDiskStore.
-func (f *facade[Q, V, It]) StoreStats() StoreStats { return f.eng.StoreStats() }
-
-// CacheStats returns the EM frame cache's policy decision counters
-// (evictions, TinyLFU admission rejections, sketch aging resets).
-func (f *facade[Q, V, It]) CacheStats() CacheStats { return f.eng.CacheStats() }
-
-// StoreErr returns the first disk-store failure observed by this index,
-// nil if none (and always nil without WithDiskStore). Store failures
-// never affect answers — the in-memory structures are authoritative —
-// so this is the health signal to poll when running on a disk store.
-func (f *facade[Q, V, It]) StoreErr() error { return f.eng.StoreErr() }
-
-// Close releases the index's disk store, if any. Indexes built without
-// WithDiskStore need no Close (it is a no-op); with one, Close flushes
-// and closes the backing file. Queries keep answering correctly after
-// Close, but further physical traffic is reported through StoreErr.
-// Close is idempotent.
-func (f *facade[Q, V, It]) Close() error { return f.eng.Close() }
 
 // Snapshot writes the index's versioned snapshot stream to w (see
 // DESIGN.md §12 for the format). The stream captures the index's full

@@ -23,9 +23,6 @@ type Config struct {
 	Seed uint64
 	// Quick shrinks sweeps by ~8x for use in tests.
 	Quick bool
-	// Disk adds the disk-backed real-I/O rows (the E30 family) to the
-	// regression snapshot; experiments ignore it.
-	Disk bool
 }
 
 // Runner executes one experiment, writing its table to w.
@@ -64,7 +61,6 @@ var experiments = map[string]struct {
 	"E27": {"Registry sweep: every problem × reduction through the type-erased Served surface", runE27},
 	"E28": {"Sharded serving: build time, batch throughput, and I/O cost vs shard count", runE28},
 	"E29": {"Warm starts: snapshot restore I/Os vs rebuild I/Os across the registry", runE29},
-	"E30": {"Real I/O: disk-backed store preads/pwrites vs simulated I/Os across the registry", runE30},
 	"E32": {"Maintenance policies: buffered vs logarithmic amortized inserts, bulk ingest", runE32},
 }
 

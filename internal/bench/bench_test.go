@@ -8,8 +8,8 @@ import (
 
 func TestIDsCoverAllExperiments(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 31 {
-		t.Fatalf("%d experiments registered, want 31: %v", len(ids), ids)
+	if len(ids) != 30 {
+		t.Fatalf("%d experiments registered, want 30: %v", len(ids), ids)
 	}
 	if ids[0] != "E1" || ids[len(ids)-1] != "E32" {
 		t.Fatalf("IDs not in numeric order: %v", ids)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"testing"
 
 	"topk"
@@ -25,12 +24,6 @@ import (
 //     InsertBatch — on overlay builds under each maintenance policy, so
 //     benchdiff gates the amortized update cost of both policies and of
 //     the bulk-ingest path.
-//   - io, "disk/..." keys (only with Config.Disk, i.e. topk-bench
-//     -disk): the same pinned workload rebuilt WithDiskStore, with IOs
-//     counting the store's *physical* operations (preads + pwrites over
-//     build and queries). DESIGN.md §13 makes physical traffic mirror
-//     the logical trace one-for-one, so these rows are just as
-//     deterministic as the simulated ones and gate real-I/O drift.
 //   - io, "cluster/r{R}/..." keys: the same pinned workload answered
 //     through the internal/cluster coordinator (hedged fan-out over
 //     snapshot-restored replica nodes, Lemma 2 merge) at replication 1
@@ -126,12 +119,6 @@ func Regress(cfg Config) (*RegressReport, error) {
 		return nil, err
 	}
 
-	if cfg.Disk {
-		if err := regressDisk(cfg, rep); err != nil {
-			return nil, err
-		}
-	}
-
 	for _, w := range wallBenchmarks(cfg) {
 		r := testing.Benchmark(w.fn)
 		rep.Wall = append(rep.Wall, WallRow{Key: w.key, NsOp: r.NsPerOp()})
@@ -210,51 +197,6 @@ func regressUpdates(cfg Config, rep *RegressReport) error {
 				Key: fmt.Sprintf("update/%v/%s/ingest", pol, name),
 				IOs: st.IOs(), Hits: st.Hits, Items: regressUpdateOps,
 			})
-		}
-	}
-	return nil
-}
-
-// regressDisk appends the real-I/O row family: every problem ×
-// reduction rebuilt on the disk-backed store, with IOs counting
-// physical syscalls (StoreStats) instead of simulated charges. Build
-// writes and query reads both have exact physical counterparts, so the
-// totals are deterministic functions of (workload, seed) and diff
-// clean across machines.
-func regressDisk(cfg Config, rep *RegressReport) error {
-	root, err := os.MkdirTemp("", "topk-regress-disk-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root)
-
-	for _, spec := range topk.RegisteredProblems() {
-		for _, r := range topk.AllReductions() {
-			dir, err := os.MkdirTemp(root, "cell-*")
-			if err != nil {
-				return err
-			}
-			ix, err := spec.Build(regressN, cfg.Seed+27,
-				topk.WithReduction(r), topk.WithSeed(cfg.Seed), topk.WithDiskStore(dir))
-			if err != nil {
-				return fmt.Errorf("disk/%s/%v: %w", spec.Name, r, err)
-			}
-			qs := ix.GenQueries(regressNQ, cfg.Seed+270)
-			res := ix.QueryBatch(qs, regressK, 0)
-			if err := ix.StoreErr(); err != nil {
-				return fmt.Errorf("disk/%s/%v: store error: %w", spec.Name, r, err)
-			}
-			row := IORow{Key: fmt.Sprintf("disk/%s/%v", spec.Name, r)}
-			ss := ix.StoreStats()
-			row.IOs = ss.Reads + ss.Writes
-			for _, b := range res {
-				row.Hits += b.Stats.Hits
-				row.Items += int64(len(b.Items))
-			}
-			rep.IO = append(rep.IO, row)
-			if err := ix.Close(); err != nil {
-				return fmt.Errorf("disk/%s/%v: close: %w", spec.Name, r, err)
-			}
 		}
 	}
 	return nil

@@ -93,9 +93,8 @@ func (v *QueryView) checkLimits() {
 }
 
 // addReads routes a cost-level read charge (PathCost, ScanCost) through
-// the view: counter, physical stand-in, then limit check.
+// the view: counter, then limit check.
 func (v *QueryView) addReads(n int64) {
 	v.reads += n
-	v.chargeReads(n)
 	v.checkLimits()
 }

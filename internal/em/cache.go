@@ -1,91 +1,6 @@
 package em
 
-import (
-	"container/list"
-	"sync/atomic"
-)
-
-// CachePolicy selects the replacement/admission policy of the M/B
-// memory frames. The policy changes which touches hit (and, with a
-// store attached, which misses reach the physical medium); it never
-// changes query answers, which are computed from the in-memory
-// structures.
-type CachePolicy int
-
-const (
-	// PolicyLRU is plain least-recently-used replacement: every missed
-	// block is admitted, evicting the coldest frame. The EM model's
-	// default, and the policy all paper-facing measurements use.
-	PolicyLRU CachePolicy = iota
-	// PolicyTinyLFU keeps LRU's eviction order but gates admission with
-	// a frequency sketch behind a doorkeeper bloom filter (TinyLFU): a
-	// missed block is admitted only if its estimated access frequency
-	// beats the would-be victim's, so one-touch blocks from long scans
-	// cannot flush a resident hot set.
-	PolicyTinyLFU
-)
-
-// String returns the policy's name.
-func (p CachePolicy) String() string {
-	switch p {
-	case PolicyLRU:
-		return "lru"
-	case PolicyTinyLFU:
-		return "tinylfu"
-	}
-	return "unknown"
-}
-
-// CacheStats counts cache-policy decisions across a tracker and all of
-// its query views.
-type CacheStats struct {
-	// Evictions counts frames displaced to admit another block.
-	Evictions int64
-	// AdmissionRejects counts missed blocks the admission filter refused
-	// to cache (TinyLFU only; always 0 under LRU).
-	AdmissionRejects int64
-	// SketchResets counts doorkeeper/sketch aging resets (TinyLFU only).
-	SketchResets int64
-}
-
-// cacheCounters is the atomic sink cache instances report into: the
-// tracker owns one, shared by the tracker-wide cache and every query
-// view's private cache.
-type cacheCounters struct {
-	evictions, rejects, resets atomic.Int64
-}
-
-func (c *cacheCounters) snapshot() CacheStats {
-	return CacheStats{
-		Evictions:        c.evictions.Load(),
-		AdmissionRejects: c.rejects.Load(),
-		SketchResets:     c.resets.Load(),
-	}
-}
-
-// blockCache is the frame-set abstraction behind the tracker and its
-// views: touch reports residency (and decides admission on a miss),
-// evict and clear invalidate, len is the resident frame count.
-type blockCache interface {
-	touch(id BlockID) bool
-	evict(id BlockID)
-	clear()
-	len() int
-}
-
-// newBlockCache builds the frame set for one cache instance. ctr may be
-// nil (a standalone cache that reports nothing).
-func newBlockCache(policy CachePolicy, capacity int, ctr *cacheCounters) blockCache {
-	if ctr == nil {
-		ctr = &cacheCounters{}
-	}
-	switch policy {
-	case PolicyTinyLFU:
-		return newTinyLFUCache(capacity, ctr)
-	default:
-		return newLRUCache(capacity, ctr)
-	}
-}
+import "container/list"
 
 // lruCache models the M/B block frames of internal memory with
 // least-recently-used replacement.
@@ -93,15 +8,13 @@ type lruCache struct {
 	cap   int
 	order *list.List // front = most recently used; values are BlockID
 	pos   map[BlockID]*list.Element
-	ctr   *cacheCounters
 }
 
-func newLRUCache(capacity int, ctr *cacheCounters) *lruCache {
+func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
 		cap:   capacity,
 		order: list.New(),
 		pos:   make(map[BlockID]*list.Element, capacity),
-		ctr:   ctr,
 	}
 }
 
@@ -116,7 +29,6 @@ func (c *lruCache) touch(id BlockID) bool {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.pos, oldest.Value.(BlockID))
-		c.ctr.evictions.Add(1)
 	}
 	c.pos[id] = c.order.PushFront(id)
 	return false

@@ -15,27 +15,6 @@
 // theorems bound, while keeping the structures themselves ordinary Go
 // values that tests can inspect.
 //
-// # Physical stores
-//
-// A Tracker may additionally be attached to a BlockStore (NewTrackerWithStore),
-// which persists a deterministic, verifiable payload for every allocated
-// block and serves it back on every cache miss. The logical accounting is
-// unchanged — the same workload charges the same Reads/Writes/Hits with or
-// without a store — but each miss now also performs a physical block
-// transfer (a pread/pwrite when the store is internal/em/diskstore), so
-// the simulated I/O counts can be correlated against real storage
-// behavior. Store failures never panic and never corrupt answers (the
-// structures remain authoritative); the first failure is retained and
-// reported by StoreErr.
-//
-// # Cache policies
-//
-// The frame set's replacement policy is pluggable (Config.Policy):
-// PolicyLRU is the model's default, PolicyTinyLFU adds a
-// frequency-sketch admission filter in front of the LRU order so
-// one-touch scan blocks cannot evict a resident hot set. CacheStats
-// reports per-policy eviction/admission counters.
-//
 // # Concurrency
 //
 // A Tracker separates the immutable machine description (Config, the block
@@ -65,9 +44,6 @@ type Config struct {
 	// MemBlocks is the number of block frames that fit in memory (M/B).
 	// The paper requires M >= 2B, i.e. MemBlocks >= 2.
 	MemBlocks int
-	// Policy selects the frame replacement/admission policy (default
-	// PolicyLRU, the model's standard assumption).
-	Policy CachePolicy
 }
 
 // DefaultConfig mirrors the paper's running assumptions: B = 64 words and a
@@ -124,19 +100,8 @@ type Tracker struct {
 	writes atomic.Int64
 	hits   atomic.Int64
 
-	mu    sync.Mutex // guards cache and sharedBuf
-	cache blockCache
-
-	// store is the physical medium behind the tracker, nil for the pure
-	// counting simulator. sharedBuf is the shared-path payload scratch
-	// (guarded by mu); query views carry their own. cacheCtr aggregates
-	// policy decisions across the shared cache and every view's cache.
-	store     BlockStore
-	sharedBuf []byte
-	cacheCtr  cacheCounters
-	storeErrv atomic.Pointer[storeErrBox]
-	faults    atomic.Int64
-	closed    atomic.Bool
+	mu    sync.Mutex // guards the shared-path cache
+	cache *lruCache
 
 	// nviews counts open query views; while it is nonzero the
 	// allocation ledger must not change (see checkMutable).
@@ -155,112 +120,9 @@ func NewTracker(cfg Config) *Tracker {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	t := &Tracker{cfg: cfg}
-	t.cache = newBlockCache(cfg.Policy, cfg.MemBlocks, &t.cacheCtr)
+	t := &Tracker{cfg: cfg, cache: newLRUCache(cfg.MemBlocks)}
 	t.next.Store(1)
 	return t
-}
-
-// NewTrackerWithStore builds a tracker whose block traffic is backed by
-// a physical store: every allocation and write persists the block's
-// canonical payload, every cache miss reads it back and verifies it.
-// The store's payload size must match the machine's block size (8 bytes
-// per word). Unlike NewTracker, configuration problems are returned as
-// errors, since a store-backed build has a caller prepared to handle
-// I/O failure.
-func NewTrackerWithStore(cfg Config, store BlockStore) (*Tracker, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if store == nil {
-		return nil, fmt.Errorf("em: NewTrackerWithStore with a nil store")
-	}
-	if got, want := store.PayloadBytes(), PayloadBytesFor(cfg.B); got != want {
-		return nil, fmt.Errorf("em: store holds %d-byte blocks, machine B=%d words needs %d", got, cfg.B, want)
-	}
-	t := &Tracker{cfg: cfg, store: store}
-	t.cache = newBlockCache(cfg.Policy, cfg.MemBlocks, &t.cacheCtr)
-	t.sharedBuf = make([]byte, store.PayloadBytes())
-	t.next.Store(1)
-	return t, nil
-}
-
-// storeErrBox wraps the first store error for atomic publication.
-type storeErrBox struct{ err error }
-
-// noteStoreErr records a physical-store failure: the fault counter
-// always advances, the first error is retained for StoreErr. Store
-// faults are diagnostics, not panics — answers come from the in-memory
-// structures and stay correct.
-func (t *Tracker) noteStoreErr(err error) {
-	if err == nil {
-		return
-	}
-	t.faults.Add(1)
-	t.storeErrv.CompareAndSwap(nil, &storeErrBox{err: err})
-}
-
-// StoreErr returns the first physical-store failure observed by this
-// tracker (nil if none, and always nil without a store). FaultCount
-// reports how many failures occurred in total.
-func (t *Tracker) StoreErr() error {
-	if box := t.storeErrv.Load(); box != nil {
-		return box.err
-	}
-	return nil
-}
-
-// FaultCount returns the number of physical-store failures observed.
-func (t *Tracker) FaultCount() int64 { return t.faults.Load() }
-
-// Store returns the attached physical store, nil for the pure
-// counting simulator.
-func (t *Tracker) Store() BlockStore { return t.store }
-
-// StoreStats returns the attached store's physical operation counters
-// (zero without a store) — the measured side of experiment E30's
-// simulated-vs-real comparison.
-func (t *Tracker) StoreStats() StoreStats {
-	if t.store == nil {
-		return StoreStats{}
-	}
-	return t.store.StoreStats()
-}
-
-// CacheStats returns the cache policy's decision counters, aggregated
-// over the shared cache and every query view's private cache.
-func (t *Tracker) CacheStats() CacheStats { return t.cacheCtr.snapshot() }
-
-// Close releases the attached store, if any. Further physical traffic
-// errors (and is reported by StoreErr) but logical accounting keeps
-// working; Close is idempotent.
-func (t *Tracker) Close() error {
-	if t.store == nil || !t.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	return t.store.Close()
-}
-
-// storeWriteLocked persists block id's canonical payload through the
-// shared scratch buffer; t.mu must be held. No-op without a store.
-func (t *Tracker) storeWriteLocked(id BlockID) error {
-	if t.store == nil {
-		return nil
-	}
-	FillPayload(id, t.sharedBuf)
-	return t.store.WriteBlock(id, t.sharedBuf)
-}
-
-// storeReadLocked fetches and verifies block id's payload — one
-// physical read per logical miss; t.mu must be held.
-func (t *Tracker) storeReadLocked(id BlockID) error {
-	if t.store == nil {
-		return nil
-	}
-	if err := t.store.ReadBlock(id, t.sharedBuf); err != nil {
-		return err
-	}
-	return VerifyPayload(id, t.sharedBuf)
 }
 
 // B returns the block size in words.
@@ -311,9 +173,7 @@ func (t *Tracker) Alloc() BlockID {
 	t.writes.Add(1)
 	t.mu.Lock()
 	t.cache.touch(id)
-	err := t.storeWriteLocked(id)
 	t.mu.Unlock()
-	t.noteStoreErr(err)
 	return id
 }
 
@@ -327,15 +187,6 @@ func (t *Tracker) AllocRun(n int) BlockID {
 	id := BlockID(t.next.Add(uint64(n)) - uint64(n))
 	t.blocks.Add(int64(n))
 	t.writes.Add(int64(n))
-	if t.store != nil {
-		var err error
-		t.mu.Lock()
-		for i := 0; i < n && err == nil; i++ {
-			err = t.storeWriteLocked(id + BlockID(i))
-		}
-		t.mu.Unlock()
-		t.noteStoreErr(err)
-	}
 	return id
 }
 
@@ -349,9 +200,6 @@ func (t *Tracker) Free(id BlockID) {
 	t.mu.Lock()
 	t.cache.evict(id)
 	t.mu.Unlock()
-	if t.store != nil {
-		t.noteStoreErr(t.store.Free(id))
-	}
 }
 
 // FreeRun releases n consecutive blocks starting at id.
@@ -406,12 +254,7 @@ func (t *Tracker) Read(v *QueryView, id BlockID) {
 	}
 	t.mu.Lock()
 	hit := t.cache.touch(id)
-	var err error
-	if !hit {
-		err = t.storeReadLocked(id)
-	}
 	t.mu.Unlock()
-	t.noteStoreErr(err)
 	if hit {
 		t.hits.Add(1)
 	} else {
@@ -432,9 +275,7 @@ func (t *Tracker) Write(v *QueryView, id BlockID) {
 	}
 	t.mu.Lock()
 	t.cache.touch(id)
-	err := t.storeWriteLocked(id)
 	t.mu.Unlock()
-	t.noteStoreErr(err)
 	t.writes.Add(1)
 }
 
@@ -458,17 +299,6 @@ func (t *Tracker) ReadRun(v *QueryView, id BlockID, n int) {
 		return
 	}
 	t.reads.Add(int64(n))
-	if t.store != nil {
-		// A cache-bypassing sequential scan still moves every block
-		// physically.
-		var err error
-		t.mu.Lock()
-		for i := 0; i < n && err == nil; i++ {
-			err = t.storeReadLocked(id + BlockID(i))
-		}
-		t.mu.Unlock()
-		t.noteStoreErr(err)
-	}
 }
 
 // PathCost charges v (nil: the shared path) the I/Os of walking `nodes`
@@ -487,7 +317,6 @@ func (t *Tracker) PathCost(v *QueryView, nodes int) {
 		return
 	}
 	t.reads.Add(n)
-	t.chargeReads(n)
 }
 
 // pathReads is the blocked-layout cost formula shared by the tracker and
@@ -515,7 +344,6 @@ func (t *Tracker) ScanCost(v *QueryView, nItems int) {
 		return
 	}
 	t.reads.Add(n)
-	t.chargeReads(n)
 }
 
 // SortCost charges one external-memory merge sort of nItems items packed
@@ -532,30 +360,12 @@ func (t *Tracker) SortCost(nItems int) {
 	}
 	blocks := int64((nItems + t.cfg.B - 1) / t.cfg.B)
 	fan := int64(t.cfg.MemBlocks)
-	if fan < 2 {
-		fan = 2
-	}
 	passes := int64(1)
 	for capacity := fan; capacity < blocks; capacity *= fan {
 		passes++
 	}
 	t.reads.Add(blocks * passes)
 	t.writes.Add(blocks * passes)
-	t.chargeReads(blocks * passes)
-}
-
-// chargeReads materializes cost-level read charges (PathCost, ScanCost)
-// as physical stand-in reads when a store is attached. These charges
-// model block traffic without naming block IDs, so the store reads a
-// fixed always-valid region once per charged read — keeping the
-// physical read total equal to the logical one. Stand-in reads need no
-// shared scratch, so no lock is taken (ChargeReads is concurrency-safe
-// by the BlockStore contract).
-func (t *Tracker) chargeReads(n int64) {
-	if t.store == nil {
-		return
-	}
-	t.noteStoreErr(t.store.ChargeReads(n))
 }
 
 // SeqBlocks returns how many B-word blocks a byte stream of the given

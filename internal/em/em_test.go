@@ -93,6 +93,37 @@ func TestScanCost(t *testing.T) {
 	}
 }
 
+func TestSortCost(t *testing.T) {
+	// M/B = 4, so each merge pass multiplies the sorted run length by 4:
+	// up to 4 blocks sort in one pass, up to 16 in two, up to 64 in three.
+	cases := []struct {
+		items          int
+		blocks, passes int64
+	}{
+		{items: 10, blocks: 1, passes: 1},         // under one block
+		{items: 4 * 64, blocks: 4, passes: 1},     // exactly M/B blocks
+		{items: 4*64 + 1, blocks: 5, passes: 2},   // M/B + 1 blocks
+		{items: 16 * 64, blocks: 16, passes: 2},   // exactly (M/B)² blocks
+		{items: 16*64 + 1, blocks: 17, passes: 3}, // (M/B)² + 1 blocks
+		{items: 64 * 64, blocks: 64, passes: 3},   // exactly (M/B)³ blocks
+	}
+	for _, c := range cases {
+		tr := NewTracker(Config{B: 64, MemBlocks: 4})
+		tr.SortCost(c.items)
+		want := c.blocks * c.passes
+		if st := tr.Stats(); st.Reads != want || st.Writes != want || st.Hits != 0 || st.Blocks != 0 {
+			t.Errorf("SortCost(%d) = %+v, want %d reads and %d writes (%d blocks × %d passes), no hits, no space",
+				c.items, st, want, want, c.blocks, c.passes)
+		}
+	}
+	tr := NewTracker(Config{B: 64, MemBlocks: 4})
+	tr.SortCost(0)
+	tr.SortCost(-5)
+	if st := tr.Stats(); st != (Stats{}) {
+		t.Errorf("SortCost(n <= 0) charged %+v, want nothing", st)
+	}
+}
+
 func TestReadRunBypassesCacheWhenLong(t *testing.T) {
 	tr := NewTracker(Config{B: 64, MemBlocks: 2})
 	first := tr.AllocRun(10)

@@ -27,11 +27,7 @@ import "time"
 // any view is open on the tracker.
 type QueryView struct {
 	t     *Tracker
-	cache blockCache
-	// buf is the view's private payload scratch when the tracker has a
-	// physical store: view misses perform their own physical reads, so
-	// concurrent queries drive concurrent store traffic.
-	buf []byte
+	cache *lruCache
 
 	reads, writes, hits int64
 
@@ -55,10 +51,7 @@ type QueryView struct {
 // BeginQuery opens a fresh, cold QueryView on the tracker and returns it.
 // Charges passed the view land in it until End is called.
 func (t *Tracker) BeginQuery() *QueryView {
-	v := &QueryView{t: t, cache: newBlockCache(t.cfg.Policy, t.cfg.MemBlocks, &t.cacheCtr)}
-	if t.store != nil {
-		v.buf = make([]byte, t.store.PayloadBytes())
-	}
+	v := &QueryView{t: t, cache: newLRUCache(t.cfg.MemBlocks)}
 	t.nviews.Add(1)
 	return v
 }
@@ -115,16 +108,13 @@ func (v *QueryView) End() Stats {
 // is owned by the view; callers must copy it to retain it.
 func (v *QueryView) Trace() []TraceEvent { return v.trace }
 
-// read charges one block read against the private cache; a miss with a
-// physical store attached additionally fetches and verifies the block.
+// read charges one block read against the private cache.
 func (v *QueryView) read(id BlockID) {
 	if v.cache.touch(id) {
 		v.hits++
-		v.checkLimits()
-		return
+	} else {
+		v.reads++
 	}
-	v.reads++
-	v.storeRead(id)
 	v.checkLimits()
 }
 
@@ -132,10 +122,6 @@ func (v *QueryView) read(id BlockID) {
 func (v *QueryView) write(id BlockID) {
 	v.cache.touch(id)
 	v.writes++
-	if v.buf != nil {
-		FillPayload(id, v.buf)
-		v.t.noteStoreErr(v.t.store.WriteBlock(id, v.buf))
-	}
 	v.checkLimits()
 }
 
@@ -148,29 +134,5 @@ func (v *QueryView) readRun(id BlockID, n int) {
 		return
 	}
 	v.reads += int64(n)
-	for i := 0; v.buf != nil && i < n; i++ {
-		v.storeRead(id + BlockID(i))
-	}
 	v.checkLimits()
-}
-
-// chargeReads mirrors Tracker.chargeReads for cost-level charges given to
-// the view: n physical stand-in reads against the store's fixed region.
-func (v *QueryView) chargeReads(n int64) {
-	if v.buf == nil {
-		return
-	}
-	v.t.noteStoreErr(v.t.store.ChargeReads(n))
-}
-
-// storeRead performs the physical fetch+verify of one missed block.
-func (v *QueryView) storeRead(id BlockID) {
-	if v.buf == nil {
-		return
-	}
-	err := v.t.store.ReadBlock(id, v.buf)
-	if err == nil {
-		err = VerifyPayload(id, v.buf)
-	}
-	v.t.noteStoreErr(err)
 }

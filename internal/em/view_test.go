@@ -192,6 +192,8 @@ func panics(f func()) (did bool) {
 
 func TestAllocPanicsWhileViewOpenElsewhere(t *testing.T) {
 	tr := NewTracker(DefaultConfig())
+	id := tr.Alloc()
+	before := tr.Stats()
 	opened := make(chan *QueryView)
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -206,8 +208,20 @@ func TestAllocPanicsWhileViewOpenElsewhere(t *testing.T) {
 	if !panics(func() { tr.Alloc() }) {
 		t.Error("Alloc while another goroutine holds a view did not panic")
 	}
+	if !panics(func() { tr.AllocRun(2) }) {
+		t.Error("AllocRun while another goroutine holds a view did not panic")
+	}
+	if !panics(func() { tr.Free(id) }) {
+		t.Error("Free while another goroutine holds a view did not panic")
+	}
 	if !panics(func() { tr.ReleaseBlocks(1) }) {
 		t.Error("ReleaseBlocks while another goroutine holds a view did not panic")
+	}
+	if !panics(func() { tr.SortCost(1000) }) {
+		t.Error("SortCost while another goroutine holds a view did not panic")
+	}
+	if st := tr.Stats(); st != before {
+		t.Errorf("refused mutations changed the tracker: %+v, want %+v", st, before)
 	}
 	// A checkpoint runs under read access beside in-flight queries.
 	if panics(func() { tr.SnapshotCost(1 << 10) }) {

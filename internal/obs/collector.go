@@ -154,48 +154,6 @@ func (p *PhaseIOs) Observe(phase string, ios int64) {
 	h.Observe(ios)
 }
 
-// StoreMetrics is the metric bundle for one index's EM cache policy and
-// physical block store. The series are cumulative totals refreshed from
-// counter snapshots (Tracker.CacheStats / Tracker.StoreStats), so they
-// are registered as gauges and Set on every refresh. Every series
-// carries a {policy="lru"|"tinylfu"} label alongside the index label,
-// so hit/eviction rates of different admission policies separate
-// cleanly in one scrape.
-type StoreMetrics struct {
-	Evictions        *Gauge // topk_cache_evictions_total
-	AdmissionRejects *Gauge // topk_cache_admission_rejects_total
-	SketchResets     *Gauge // topk_cache_sketch_resets_total
-	StoreReads       *Gauge // topk_store_reads_total
-	StoreWrites      *Gauge // topk_store_writes_total
-	StoreReadBytes   *Gauge // topk_store_read_bytes_total
-	StoreWriteBytes  *Gauge // topk_store_written_bytes_total
-	StoreFaults      *Gauge // topk_store_faults_total
-}
-
-// NewStoreMetrics registers the cache/store bundle under the given
-// index and policy labels plus any extra constant labels.
-func NewStoreMetrics(r *Registry, index, policy string, extra ...Label) *StoreMetrics {
-	ls := append([]Label{{Key: "index", Value: index}, {Key: "policy", Value: policy}}, extra...)
-	return &StoreMetrics{
-		Evictions: r.NewGauge("topk_cache_evictions_total",
-			"Frames displaced from the EM cache by the replacement policy.", ls...),
-		AdmissionRejects: r.NewGauge("topk_cache_admission_rejects_total",
-			"Missed blocks the TinyLFU admission filter refused to cache.", ls...),
-		SketchResets: r.NewGauge("topk_cache_sketch_resets_total",
-			"TinyLFU frequency-sketch aging resets (doorkeeper clear + sketch halve).", ls...),
-		StoreReads: r.NewGauge("topk_store_reads_total",
-			"Physical block reads against the disk store (one pread per cache miss).", ls...),
-		StoreWrites: r.NewGauge("topk_store_writes_total",
-			"Physical block writes against the disk store.", ls...),
-		StoreReadBytes: r.NewGauge("topk_store_read_bytes_total",
-			"Bytes physically read from the disk store.", ls...),
-		StoreWriteBytes: r.NewGauge("topk_store_written_bytes_total",
-			"Bytes physically written to the disk store.", ls...),
-		StoreFaults: r.NewGauge("topk_store_faults_total",
-			"Physical-store failures observed (answers are unaffected; see StoreErr).", ls...),
-	}
-}
-
 // Collector adapts an em.TraceSink stream into a QueryMetrics bundle.
 // Shared-path events (flushes, rebuilds) arrive via Event; per-query
 // traces arrive via QueryTrace with the query's exact Stats delta.

@@ -67,7 +67,6 @@ type indexObs struct {
 	tracker *em.Tracker
 	reg     *obs.Registry
 	qm      *obs.QueryMetrics
-	sm      *obs.StoreMetrics
 	slow    *obs.SlowQueryLog
 	qlog    *obs.QueryLogger
 	tracing bool
@@ -104,7 +103,6 @@ func newIndexObs(name string, o Options, tracker *em.Tracker) *indexObs {
 			extra = append(extra, obs.Label{Key: "shard", Value: o.shardLabel})
 		}
 		ob.qm = obs.NewQueryMetrics(ob.reg, name, extra...)
-		ob.sm = obs.NewStoreMetrics(ob.reg, name, o.cachePol.String(), extra...)
 		sink = &obs.Collector{M: ob.qm, Phases: obs.NewPhaseIOs(ob.reg, name, extra...)}
 	}
 	if o.slowMin > 0 {
@@ -151,7 +149,6 @@ func (ob *indexObs) done(t0 time.Time, before em.Stats, desc func() string) {
 		ob.qm.Hits.Add(delta.Hits)
 		ob.qm.Misses.Add(delta.Reads)
 	}
-	ob.refreshStore()
 	ob.observeSlow(d, delta, nil, batchLifecycle{}, desc)
 	ob.observeWide(d, delta, nil, batchLifecycle{}, desc)
 }
@@ -179,7 +176,6 @@ func (ob *indexObs) observeBatch(d time.Duration, st em.Stats, trace []em.TraceE
 			ob.qm.Degraded.Inc()
 		}
 	}
-	ob.refreshStore()
 	ob.observeSlow(d, st, trace, lc, desc)
 	ob.observeWide(d, st, trace, lc, desc)
 }
@@ -267,26 +263,6 @@ func (ob *indexObs) observeShape(n int, dyn any) {
 		ob.qm.BufferedRuns.Set(int64(st.BufferedRuns))
 		ob.qm.BufferedItems.Set(int64(st.BufferedItems))
 	}
-	ob.refreshStore()
-}
-
-// refreshStore re-publishes the cache-policy and physical-store counter
-// snapshots as gauge values. Snapshots are cheap (a handful of atomic
-// loads), so the refresh rides every metrics touch point.
-func (ob *indexObs) refreshStore() {
-	if ob == nil || ob.sm == nil {
-		return
-	}
-	cs := ob.tracker.CacheStats()
-	ob.sm.Evictions.Set(cs.Evictions)
-	ob.sm.AdmissionRejects.Set(cs.AdmissionRejects)
-	ob.sm.SketchResets.Set(cs.SketchResets)
-	ss := ob.tracker.StoreStats()
-	ob.sm.StoreReads.Set(ss.Reads)
-	ob.sm.StoreWrites.Set(ss.Writes)
-	ob.sm.StoreReadBytes.Set(ss.BytesRead)
-	ob.sm.StoreWriteBytes.Set(ss.BytesWritten)
-	ob.sm.StoreFaults.Set(ob.tracker.FaultCount())
 }
 
 // wantTrace reports whether batch results should carry public traces.

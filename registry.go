@@ -110,18 +110,6 @@ type Served interface {
 	// LoadSnapshot, which dispatches on the manifest — rebuilds an index
 	// answering every query identically at O(size/B) restore I/Os.
 	Snapshot(dir string) error
-	// StoreStats returns the physical operation counters of the index's
-	// disk store (summed over shards; all zero without WithDiskStore).
-	StoreStats() StoreStats
-	// CacheStats returns the EM frame cache's policy decision counters
-	// (summed over shards).
-	CacheStats() CacheStats
-	// StoreErr returns the first disk-store failure observed on any
-	// shard, nil if none.
-	StoreErr() error
-	// Close releases the index's disk store, if any; a no-op without
-	// WithDiskStore, idempotent either way.
-	Close() error
 }
 
 // ProblemSpec is one registry entry: a problem name plus type-erased
@@ -236,10 +224,6 @@ type servedEngine[Q, It any] interface {
 	Stats() Stats
 	ResetStats()
 	WriteMetrics(w io.Writer) error
-	StoreStats() StoreStats
-	CacheStats() CacheStats
-	StoreErr() error
-	Close() error
 	hasWeight(w float64) bool
 	snapDir(dir string) error
 }
@@ -401,10 +385,6 @@ func (s *served[Q, V, It]) Stats() Stats                   { return s.eng.Stats(
 func (s *served[Q, V, It]) ResetStats()                    { s.eng.ResetStats() }
 func (s *served[Q, V, It]) WriteMetrics(w io.Writer) error { return s.eng.WriteMetrics(w) }
 func (s *served[Q, V, It]) Snapshot(dir string) error      { return s.eng.snapDir(dir) }
-func (s *served[Q, V, It]) StoreStats() StoreStats         { return s.eng.StoreStats() }
-func (s *served[Q, V, It]) CacheStats() CacheStats         { return s.eng.CacheStats() }
-func (s *served[Q, V, It]) StoreErr() error                { return s.eng.StoreErr() }
-func (s *served[Q, V, It]) Close() error                   { return s.eng.Close() }
 
 // ---- registry entries -------------------------------------------------
 //

@@ -465,48 +465,3 @@ func (s *Sharded[Q, V, It]) WriteMetrics(w io.Writer) error {
 	}
 	return s.reg.WritePrometheus(w)
 }
-
-// StoreStats returns the element-wise sum of every shard's physical
-// store counters. All zero unless built WithDiskStore (each shard then
-// pages against its own store file).
-func (s *Sharded[Q, V, It]) StoreStats() StoreStats {
-	var out StoreStats
-	for _, e := range s.shards {
-		out = out.add(e.StoreStats())
-	}
-	return out
-}
-
-// CacheStats returns the element-wise sum of every shard's cache policy
-// decision counters.
-func (s *Sharded[Q, V, It]) CacheStats() CacheStats {
-	var out CacheStats
-	for _, e := range s.shards {
-		out = out.add(e.CacheStats())
-	}
-	return out
-}
-
-// StoreErr returns the first disk-store failure observed on any shard,
-// nil if none.
-func (s *Sharded[Q, V, It]) StoreErr() error {
-	for _, e := range s.shards {
-		if err := e.StoreErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close releases every shard's disk store, returning the first error
-// after attempting all shards; idempotent, and a no-op without
-// WithDiskStore.
-func (s *Sharded[Q, V, It]) Close() error {
-	var first error
-	for _, e := range s.shards {
-		if err := e.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -387,11 +387,7 @@ func restoreEngine[Q, V, It any](
 		return nil, fmt.Errorf("topk: snapshot kind %d inconsistent with reduction %s and its config (want kind %d)", h.Kind, red, wantKind)
 	}
 
-	tracker, err := o.newTracker()
-	if err != nil {
-		return nil, err
-	}
-	e := &engine[Q, V, It]{p: p, opts: o, tracker: tracker}
+	e := &engine[Q, V, It]{p: p, opts: o, tracker: o.newTracker()}
 	reconstruct := func() error {
 		if h.Kind != snap.KindOverlay {
 			if !haveItems {
@@ -405,11 +401,9 @@ func restoreEngine[Q, V, It any](
 		return e.initOverlay(levels, tail, tailCap, deadFrac, counters, policyID, tiers)
 	}
 	if err := e.tracker.RestoreAccounting(cr.n, reconstruct); err != nil {
-		tracker.Close()
 		return nil, err
 	}
 	if e.n != int(h.Items) {
-		tracker.Close()
 		return nil, fmt.Errorf("topk: snapshot header declares %d items, reconstruction holds %d", h.Items, e.n)
 	}
 	return e, nil

@@ -480,3 +480,169 @@ func TestSnapshotConcurrentWithQueryBatch(t *testing.T) {
 		})
 	}
 }
+
+// The tests below keep the names of the disk conformance suite. That
+// suite compared every index against a copy on the file-backed block
+// store, which is retired (DESIGN.md §13); an index's on-disk form is
+// now its snapshot, so each test pins the same claim on that path: the
+// copy that went through disk is indistinguishable from the source,
+// per-query I/O included, which answersOf alone does not compare.
+
+// diskShardCounts keeps the on-disk matrix at the degenerate single
+// shard plus the smallest real partition; wider partitions exercise no
+// new snapshot code (one file per shard either way).
+var diskShardCounts = []int{1, 2}
+
+// buildShards builds spec's conformance index, partitioned when shards
+// is greater than one.
+func buildShards(t *testing.T, spec ProblemSpec, shards int, opts ...Option) Served {
+	t.Helper()
+	var (
+		sv  Served
+		err error
+	)
+	if shards > 1 {
+		sv, err = spec.BuildSharded(confN, shards, confSeed, opts...)
+	} else {
+		sv, err = spec.Build(confN, confSeed, opts...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
+
+// throughDisk snapshots sv into a fresh directory and restores it,
+// returning the restored index and the directory.
+func throughDisk(t *testing.T, spec ProblemSpec, sv Served) (Served, string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := sv.Snapshot(dir); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	rst, err := spec.Restore(dir)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return rst, dir
+}
+
+// diffAnswers fails the test unless two batch results are identical in
+// items (weight and label) and in per-query I/O stats.
+func diffAnswers(t *testing.T, want, got []BatchResult[ServedItem]) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("batch sizes differ: %d vs %d", len(want), len(got))
+	}
+	for i := range want {
+		a, b := want[i], got[i]
+		if a.Stats != b.Stats {
+			t.Fatalf("q%d: stats diverge: %+v (want) != %+v (got)", i, a.Stats, b.Stats)
+		}
+		if len(a.Items) != len(b.Items) {
+			t.Fatalf("q%d: %d items (want) != %d items (got)", i, len(a.Items), len(b.Items))
+		}
+		for j := range a.Items {
+			if a.Items[j].Weight != b.Items[j].Weight || a.Items[j].Label != b.Items[j].Label {
+				t.Fatalf("q%d item %d: %v/%q (want) != %v/%q (got)",
+					i, j, a.Items[j].Weight, a.Items[j].Label, b.Items[j].Weight, b.Items[j].Label)
+			}
+		}
+	}
+}
+
+// TestConformanceDiskStore checks, for every problem × reduction ×
+// shard count, that an index restored from its on-disk snapshot serves
+// the whole query surface exactly like the source: QueryBatch answers
+// and per-query I/O stats, full-width TopK, Max, and ReportAbove at the
+// median answer weight, over the same space in blocks.
+func TestConformanceDiskStore(t *testing.T) {
+	for _, spec := range RegisteredProblems() {
+		for _, r := range AllReductions() {
+			for _, shards := range diskShardCounts {
+				t.Run(fmt.Sprintf("%s/%v/shards=%d", spec.Name, r, shards), func(t *testing.T) {
+					src := buildShards(t, spec, shards, WithReduction(r))
+					rst, _ := throughDisk(t, spec, src)
+					if ss, rs := src.Stats(), rst.Stats(); rs.Blocks != ss.Blocks || rs.Reduction != ss.Reduction {
+						t.Fatalf("restored space %d blocks under %v, want %d under %v",
+							rs.Blocks, rs.Reduction, ss.Blocks, ss.Reduction)
+					}
+					qs := src.GenQueries(6, confQSeed)
+					diffAnswers(t, src.QueryBatch(qs, 5, 1), rst.QueryBatch(qs, 5, 1))
+
+					q := qs[0]
+					want := servedWeights(src.TopK(q, confN))
+					if got := servedWeights(rst.TopK(q, confN)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("TopK(n) = %v, want %v", got, want)
+					}
+					rm, rok := rst.Max(q)
+					sm, sok := src.Max(q)
+					if rok != sok || rm != sm {
+						t.Fatalf("Max = (%v, %v) (restored) != (%v, %v) (source)", rm, rok, sm, sok)
+					}
+					if len(want) > 0 {
+						tau := want[(len(want)-1)/2]
+						if got, want := weightSet(rst.ReportAbove(q, tau)), weightSet(src.ReportAbove(q, tau)); !reflect.DeepEqual(got, want) {
+							t.Fatalf("ReportAbove(%v): %d items, want %d", tau, len(got), len(want))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConformanceDiskParallelQueries checks the determinism contract on
+// an index restored from disk: per-query answers and stats are
+// identical at batch parallelism 1 and 4, and equal the source's.
+func TestConformanceDiskParallelQueries(t *testing.T) {
+	for _, spec := range RegisteredProblems() {
+		t.Run(spec.Name, func(t *testing.T) {
+			src := buildShards(t, spec, 1)
+			rst, _ := throughDisk(t, spec, src)
+			qs := rst.GenQueries(12, confQSeed)
+			serial := rst.QueryBatch(qs, 5, 1)
+			diffAnswers(t, serial, rst.QueryBatch(qs, 5, 4))
+			diffAnswers(t, src.QueryBatch(qs, 5, 1), serial)
+		})
+	}
+}
+
+// TestConformanceDiskSnapshotRestore checks the snapshot round trip in
+// both directions: an index restored from disk snapshots back to the
+// same files (sizes and checksums in the manifest), and restoring those
+// again gives an index that answers like the source, per-query stats
+// included, at the same one-pass restore cost.
+func TestConformanceDiskSnapshotRestore(t *testing.T) {
+	for _, spec := range RegisteredProblems() {
+		for _, shards := range diskShardCounts {
+			t.Run(fmt.Sprintf("%s/shards=%d", spec.Name, shards), func(t *testing.T) {
+				src := buildShards(t, spec, shards)
+				once, dir1 := throughDisk(t, spec, src)
+				cost := once.Stats()
+				twice, dir2 := throughDisk(t, spec, once)
+
+				mf1, err := ReadManifest(dir1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mf2, err := ReadManifest(dir2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(mf1, mf2) {
+					t.Fatalf("a restored index snapshots differently:\n  source:   %+v\n  restored: %+v", mf1, mf2)
+				}
+				if twice.Len() != src.Len() || twice.Shards() != src.Shards() {
+					t.Fatalf("restored shape %d/%d, want %d/%d",
+						twice.Len(), twice.Shards(), src.Len(), src.Shards())
+				}
+				if got := twice.Stats(); got.Reads != cost.Reads || got.Writes != 0 {
+					t.Fatalf("second restore cost Reads=%d Writes=%d, want %d and 0", got.Reads, got.Writes, cost.Reads)
+				}
+				qs := twice.GenQueries(8, confQSeed)
+				diffAnswers(t, src.QueryBatch(qs, 5, 1), twice.QueryBatch(qs, 5, 1))
+			})
+		}
+	}
+}

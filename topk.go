@@ -64,12 +64,9 @@ package topk
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"topk/internal/dynamic"
 	"topk/internal/em"
-	"topk/internal/em/diskstore"
 	"topk/internal/obs"
 )
 
@@ -140,34 +137,6 @@ func (p MaintenancePolicy) String() string {
 	return fmt.Sprintf("MaintenancePolicy(%d)", int(p))
 }
 
-// CachePolicy selects the EM frame cache's replacement/admission
-// policy.
-type CachePolicy int
-
-const (
-	// CacheLRU evicts the least-recently-used frame — the EM model's
-	// standard assumption, and the policy every I/O bound in the paper
-	// is stated against. The default.
-	CacheLRU CachePolicy = iota
-	// CacheTinyLFU keeps the LRU order but adds a frequency-sketch
-	// admission filter (doorkeeper bloom + count-min sketch, TinyLFU
-	// style) in front of it: a missed block enters a full cache only if
-	// its recent access frequency beats the would-be victim's, so
-	// one-touch scan blocks cannot flush a resident hot set.
-	CacheTinyLFU
-)
-
-// String returns the policy's name.
-func (p CachePolicy) String() string {
-	switch p {
-	case CacheLRU:
-		return "lru"
-	case CacheTinyLFU:
-		return "tinylfu"
-	}
-	return fmt.Sprintf("CachePolicy(%d)", int(p))
-}
-
 func (p MaintenancePolicy) dynPolicy() dynamic.MaintenancePolicy {
 	if p == PolicyBuffered {
 		return dynamic.PolicyBuffered
@@ -186,13 +155,6 @@ func maintenancePolicyByID(id string) (MaintenancePolicy, error) {
 	return 0, fmt.Errorf("topk: unknown maintenance policy %q in snapshot", id)
 }
 
-func (p CachePolicy) emPolicy() em.CachePolicy {
-	if p == CacheTinyLFU {
-		return em.PolicyTinyLFU
-	}
-	return em.PolicyLRU
-}
-
 // Options configures an index. Use the With… helpers.
 type Options struct {
 	reduction Reduction
@@ -208,9 +170,6 @@ type Options struct {
 	queryLogW io.Writer
 	policy    ShardPolicy
 	maintPol  MaintenancePolicy
-	cachePol  CachePolicy
-	diskDir   string
-	diskDirIO bool
 	// obsReg and shardLabel are set internally when an engine is built as
 	// one shard of a Sharded index: all shards register their metric
 	// series in the shared registry, distinguished by a shard="i" label.
@@ -305,32 +264,6 @@ func WithQueryLog(w io.Writer) Option {
 	return func(o *Options) { o.queryLogW = w }
 }
 
-// WithCachePolicy selects the EM frame cache's replacement/admission
-// policy (default CacheLRU). The policy applies to the shared cache and
-// to every query view's private cache; CacheStats reports its decision
-// counters. Note that the paper's bounds assume LRU — CacheTinyLFU is
-// an engineering comparison point, not a modeled guarantee.
-func WithCachePolicy(p CachePolicy) Option { return func(o *Options) { o.cachePol = p } }
-
-// WithDiskStore backs the index's EM machine with a real file-backed
-// block store in dir (created if missing): every allocated block's
-// payload is persisted to a single data file and every cache miss
-// performs a positioned read syscall against it, so the simulated I/O
-// counts gain a physical counterpart (StoreStats) while queries keep
-// answering byte-identically — the in-memory structures remain
-// authoritative, and store failures surface through StoreErr, never as
-// wrong answers. A Sharded index opens one store file per shard in the
-// same directory. The file is recreated on every build or restore (it
-// is a paging arena, not the system of record) and released by Close.
-func WithDiskStore(dir string) Option { return func(o *Options) { o.diskDir = dir } }
-
-// WithDiskDirectIO asks the disk store for O_DIRECT block transfers,
-// bypassing the OS page cache so the simulated M/B-frame cache is the
-// only cache between the index and the medium. Platforms or
-// filesystems without O_DIRECT support fall back to buffered I/O
-// transparently. Only meaningful together with WithDiskStore.
-func WithDiskDirectIO() Option { return func(o *Options) { o.diskDirIO = true } }
-
 func applyOptions(opts []Option) Options {
 	o := Options{reduction: Expected, blockSize: 64, memBlocks: 8, seed: 1}
 	for _, fn := range opts {
@@ -339,93 +272,8 @@ func applyOptions(opts []Option) Options {
 	return o
 }
 
-func (o Options) newTracker() (*em.Tracker, error) {
-	cfg := em.Config{B: o.blockSize, MemBlocks: o.memBlocks, Policy: o.cachePol.emPolicy()}
-	if o.diskDir == "" {
-		return em.NewTracker(cfg), nil
-	}
-	if err := os.MkdirAll(o.diskDir, 0o755); err != nil {
-		return nil, fmt.Errorf("topk: creating disk-store directory: %w", err)
-	}
-	name := "blocks.tkbs"
-	if o.shardLabel != "" {
-		name = "blocks-" + o.shardLabel + ".tkbs"
-	}
-	sOpts := []diskstore.Option{diskstore.WithTruncate()}
-	if o.diskDirIO {
-		sOpts = append(sOpts, diskstore.WithDirectIO())
-	}
-	store, err := diskstore.Open(filepath.Join(o.diskDir, name), em.PayloadBytesFor(cfg.B), sOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("topk: opening disk store: %w", err)
-	}
-	tr, err := em.NewTrackerWithStore(cfg, store)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	return tr, nil
-}
-
-// StoreStats counts the physical operations performed by an index's
-// disk store (all zero unless built WithDiskStore): Reads and Writes
-// are positioned read/write syscalls at block granularity — the
-// measured side of experiment E30's simulated-vs-real comparison.
-type StoreStats struct {
-	Reads        int64
-	Writes       int64
-	BytesRead    int64
-	BytesWritten int64
-	Syncs        int64
-	Frees        int64
-}
-
-// CacheStats reports the EM frame cache's policy decisions: evictions
-// (any policy), plus admission rejections and frequency-sketch aging
-// resets (CacheTinyLFU only). Counters aggregate the shared cache and
-// every query view's private cache.
-type CacheStats struct {
-	Evictions        int64
-	AdmissionRejects int64
-	SketchResets     int64
-}
-
-func publicStoreStats(s em.StoreStats) StoreStats {
-	return StoreStats{
-		Reads:        s.Reads,
-		Writes:       s.Writes,
-		BytesRead:    s.BytesRead,
-		BytesWritten: s.BytesWritten,
-		Syncs:        s.Syncs,
-		Frees:        s.Frees,
-	}
-}
-
-func publicCacheStats(s em.CacheStats) CacheStats {
-	return CacheStats{
-		Evictions:        s.Evictions,
-		AdmissionRejects: s.AdmissionRejects,
-		SketchResets:     s.SketchResets,
-	}
-}
-
-func (s StoreStats) add(t StoreStats) StoreStats {
-	return StoreStats{
-		Reads:        s.Reads + t.Reads,
-		Writes:       s.Writes + t.Writes,
-		BytesRead:    s.BytesRead + t.BytesRead,
-		BytesWritten: s.BytesWritten + t.BytesWritten,
-		Syncs:        s.Syncs + t.Syncs,
-		Frees:        s.Frees + t.Frees,
-	}
-}
-
-func (s CacheStats) add(t CacheStats) CacheStats {
-	return CacheStats{
-		Evictions:        s.Evictions + t.Evictions,
-		AdmissionRejects: s.AdmissionRejects + t.AdmissionRejects,
-		SketchResets:     s.SketchResets + t.SketchResets,
-	}
+func (o Options) newTracker() *em.Tracker {
+	return em.NewTracker(em.Config{B: o.blockSize, MemBlocks: o.memBlocks})
 }
 
 // Stats is a point-in-time snapshot of an index's simulated I/O activity
