@@ -86,7 +86,7 @@ experiments:
 # Regenerate the benchmark-regression baseline for this PR. Commit the
 # result whenever a cost change is intentional; bench-check diffs
 # against the newest checked-in baseline.
-BENCH_BASELINE = BENCH_PR15.json
+BENCH_BASELINE = BENCH_PR21.json
 bench-json:
 	$(GO) run ./cmd/topk-bench -io-json $(BENCH_BASELINE)
 

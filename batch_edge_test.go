@@ -1,6 +1,9 @@
 package topk
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,6 +70,62 @@ func TestQueryBatchKExceedsN(t *testing.T) {
 	got := intervalWeights(res[0].Items)
 	if !sameFloats(got, topWeights(want, len(items)*10)) {
 		t.Fatalf("k>n answer %v, want %v", got, want)
+	}
+}
+
+// TestHugeKAnswersLikeLen: no k can end the process. Reductions size
+// buffers by k, so the engine clamps k to the live count at its query
+// entries; k = 1<<40 and k = math.MaxInt must then answer exactly as
+// k = Len() does, through TopK and QueryBatch, on every problem ×
+// reduction, static and WithUpdates (with tombstones and a tail), on one
+// shard and two.
+func TestHugeKAnswersLikeLen(t *testing.T) {
+	for _, spec := range RegisteredProblems() {
+		for _, r := range AllReductions() {
+			for _, updates := range []bool{false, true} {
+				for _, shards := range []int{1, 2} {
+					t.Run(fmt.Sprintf("%s/%v/updates=%v/shards=%d", spec.Name, r, updates, shards), func(t *testing.T) {
+						opts := []Option{WithReduction(r)}
+						if updates {
+							opts = append(opts, WithUpdates())
+						}
+						sv := buildShards(t, spec, shards, opts...)
+						qs := sv.GenQueries(4, confQSeed)
+						if updates {
+							// Tombstone the heaviest matches of a few queries and
+							// leave fresh items in the tail.
+							for _, q := range qs {
+								for _, it := range sv.TopK(q, 5) {
+									if _, err := sv.Delete(it.Weight); err != nil {
+										t.Fatal(err)
+									}
+								}
+							}
+							for i := 0; i < 3; i++ {
+								if _, err := sv.InsertFresh(uint64(900 + i)); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+						n := sv.Len()
+						wantBatch := sv.QueryBatch(qs, n, 1)
+						for _, k := range []int{1 << 40, math.MaxInt} {
+							for qi, q := range qs {
+								want := servedWeights(sv.TopK(q, n))
+								if got := servedWeights(sv.TopK(q, k)); !reflect.DeepEqual(got, want) {
+									t.Fatalf("k=%d q%d: TopK = %v, want %v", k, qi, got, want)
+								}
+							}
+							for qi, br := range sv.QueryBatch(qs, k, 1) {
+								if got, want := servedWeights(br.Items), servedWeights(wantBatch[qi].Items); !reflect.DeepEqual(got, want) {
+									t.Fatalf("k=%d q%d: QueryBatch = %v, want %v", k, qi, got, want)
+								}
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -192,6 +192,11 @@ func (e *engine[Q, V, It]) init(items []It) error {
 // Len returns the number of live items.
 func (e *engine[Q, V, It]) Len() int { return e.n }
 
+// clampK bounds a requested k by the live count, which no answer
+// exceeds. Reductions size buffers by k, so an unclamped k of 1<<40 would
+// end the process on an allocation that recover cannot catch.
+func (e *engine[Q, V, It]) clampK(k int) int { return min(k, e.n) }
+
 // wrap rebuilds the exported item for a core query result.
 func (e *engine[Q, V, It]) wrap(ci core.Item[V]) It {
 	return e.p.fromCore(ci, e.data[ci.Weight])
@@ -209,7 +214,7 @@ func (e *engine[Q, V, It]) wrapAll(res []core.Item[V]) []It {
 // TopK returns the k heaviest items satisfying q, heaviest first.
 func (e *engine[Q, V, It]) TopK(q Q, k int) []It {
 	t0, before := e.ob.start()
-	res := e.topk.TopK(nil, q, k)
+	res := e.topk.TopK(nil, q, e.clampK(k))
 	e.ob.done(t0, before, func() string { return e.p.describe(q, k) })
 	return e.wrapAll(res)
 }
@@ -391,12 +396,13 @@ func (e *engine[Q, V, It]) QueryBatch(qs []Q, k int, parallelism int) []BatchRes
 // fallback when ctx.DegradeToMax is set) instead of panicking or
 // over-serving. A zero ctx makes it exactly QueryBatch.
 func (e *engine[Q, V, It]) QueryBatchCtx(ctx QueryCtx, qs []Q, k int, parallelism int) []BatchResult[It] {
+	kq := e.clampK(k)
 	return runBatch(e.tracker, e.ob, qs, parallelism, batchSpec[Q, It]{
 		ctx: ctx,
 		k:   k,
 		// The batch path skips TopK's single-query accounting: the view
 		// reports the query exactly and runBatch observes it.
-		one: func(v *em.QueryView, q Q) []It { return e.wrapAll(e.topk.TopK(v, q, k)) },
+		one: func(v *em.QueryView, q Q) []It { return e.wrapAll(e.topk.TopK(v, q, kq)) },
 		max: func(q Q) []It {
 			// Raw top-1 on the shared tracker path: bypasses e.Max's
 			// single-query observation hooks so the fallback doesn't

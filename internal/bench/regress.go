@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"testing"
 
 	"topk"
+	"topk/internal/wrand"
 )
 
 // This file emits the benchmark-regression snapshot the CI gate diffs
@@ -24,6 +26,12 @@ import (
 //     InsertBatch — on overlay builds under each maintenance policy, so
 //     benchdiff gates the amortized update cost of both policies and of
 //     the bulk-ingest path.
+//   - io, "churn/{policy}/{problem}/{script}" keys: overlay queries that
+//     meet tombstones. A pinned script of InsertBatch/DeleteBatch rounds
+//     (seeded random expiry, or pop-max: delete the heaviest live items)
+//     churns an overlay build under each maintenance policy, and the
+//     pinned query set runs at three points of the rebuild cycle, so
+//     benchdiff gates what deletions cost later queries.
 //   - io, "cluster/r{R}/..." keys: the same pinned workload answered
 //     through the internal/cluster coordinator (hedged fan-out over
 //     snapshot-restored replica nodes, Lemma 2 merge) at replication 1
@@ -115,6 +123,10 @@ func Regress(cfg Config) (*RegressReport, error) {
 		return nil, err
 	}
 
+	if err := regressChurn(cfg, rep); err != nil {
+		return nil, err
+	}
+
 	if err := regressCluster(cfg, rep); err != nil {
 		return nil, err
 	}
@@ -200,6 +212,130 @@ func regressUpdates(cfg Config, rep *RegressReport) error {
 		}
 	}
 	return nil
+}
+
+// The churn rows' script: regressChurnRounds rounds, each inserting and
+// then deleting regressChurnBatch items, so the live count stays
+// regressN. Under PolicyLogarithmic the tombstones reach DeadFrac = 0.5
+// of the baked-in items, and trigger the global rebuild, in round 16;
+// regressChurnAt are the rounds after which a third of the query set
+// runs: early, midway and last thing before that rebuild.
+const (
+	regressChurnRounds = 15
+	regressChurnBatch  = 256
+)
+
+var regressChurnAt = []int{5, 10, 15}
+
+// regressChurnItem renders a fresh item of the churned problems in its
+// wire shape.
+var regressChurnItem = map[string]func(rng *wrand.RNG, w float64) string{
+	"ortho": func(rng *wrand.RNG, w float64) string {
+		return fmt.Sprintf(`{"coords": [%v, %v], "weight": %v}`, rng.Float64()*100, rng.Float64()*100, w)
+	},
+	"dominance": func(rng *wrand.RNG, w float64) string {
+		return fmt.Sprintf(`{"x": %v, "y": %v, "z": %v, "weight": %v}`, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, w)
+	},
+}
+
+// regressChurnCover is a query of each churned problem that every item
+// satisfies, to list the base items.
+var regressChurnCover = map[string]string{
+	"ortho":     `{"lo": [-1, -1], "hi": [101, 101]}`,
+	"dominance": `[101, 101, 101]`,
+}
+
+// regressChurn appends the churn row family (see the file comment).
+func regressChurn(cfg Config, rep *RegressReport) error {
+	for _, pol := range []topk.MaintenancePolicy{topk.PolicyLogarithmic, topk.PolicyBuffered} {
+		for _, name := range []string{"ortho", "dominance"} {
+			for _, script := range []string{"expiry", "popmax"} {
+				key := fmt.Sprintf("churn/%v/%s/%s", pol, name, script)
+				row, err := churnRow(cfg, pol, name, script)
+				if err != nil {
+					return fmt.Errorf("%s: %w", key, err)
+				}
+				row.Key = key
+				rep.IO = append(rep.IO, row)
+			}
+		}
+	}
+	return nil
+}
+
+// churnRow replays one churn script and sums the pinned query set's
+// per-query costs.
+func churnRow(cfg Config, pol topk.MaintenancePolicy, name, script string) (IORow, error) {
+	var row IORow
+	spec, ok := topk.ProblemByName(name)
+	if !ok {
+		return row, fmt.Errorf("problem not registered")
+	}
+	ix, err := spec.Build(regressN, cfg.Seed+27, topk.WithSeed(cfg.Seed),
+		topk.WithUpdates(), topk.WithMaintenancePolicy(pol))
+	if err != nil {
+		return row, err
+	}
+	cover, err := ix.DecodeQuery(json.RawMessage(regressChurnCover[name]))
+	if err != nil {
+		return row, err
+	}
+	// live holds the live weights; expiry deletes from its front after
+	// one seeded shuffle of the base items, pop-max from its heaviest end.
+	var live []float64
+	used := make(map[float64]bool)
+	for _, it := range ix.Oracle(cover) {
+		live = append(live, it.Weight)
+		used[it.Weight] = true
+	}
+	if len(live) != regressN {
+		return row, fmt.Errorf("covering query lists %d items, want %d", len(live), regressN)
+	}
+	rng := wrand.New(cfg.Seed + 2025)
+	sort.Float64s(live)
+	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	qs := ix.GenQueries(regressNQ, cfg.Seed+270)
+	per := regressNQ / len(regressChurnAt)
+	next := 0
+	for round := 1; round <= regressChurnRounds; round++ {
+		batch := make([]any, regressChurnBatch)
+		for i := range batch {
+			w := rng.Float64() * 1e6
+			for used[w] {
+				w = rng.Float64() * 1e6
+			}
+			used[w] = true
+			it, err := ix.DecodeItem(json.RawMessage(regressChurnItem[name](rng, w)))
+			if err != nil {
+				return row, err
+			}
+			batch[i] = it
+			live = append(live, w)
+		}
+		if err := ix.InsertBatch(batch); err != nil {
+			return row, err
+		}
+		var dels []float64
+		if script == "popmax" {
+			sort.Float64s(live)
+			cut := len(live) - regressChurnBatch
+			dels, live = append(dels, live[cut:]...), live[:cut]
+		} else {
+			dels, live = live[:regressChurnBatch], live[regressChurnBatch:]
+		}
+		if n, err := ix.DeleteBatch(dels); err != nil || n != len(dels) {
+			return row, fmt.Errorf("round %d: DeleteBatch removed %d of %d: %v", round, n, len(dels), err)
+		}
+		if next < len(regressChurnAt) && round == regressChurnAt[next] {
+			for _, r := range ix.QueryBatch(qs[next*per:(next+1)*per], regressK, 0) {
+				row.IOs += r.Stats.IOs()
+				row.Hits += r.Stats.Hits
+				row.Items += int64(len(r.Items))
+			}
+			next++
+		}
+	}
+	return row, nil
 }
 
 // WriteRegressJSON runs Regress and writes the report as indented JSON,

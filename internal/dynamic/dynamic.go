@@ -43,14 +43,18 @@
 // validated and then merged in a single maintenance pass, so m items pay
 // one sorted merge instead of m per-item overlay costs.
 //
-// Query merges candidates: level j is asked for its top-(k + dead_j)
-// items, which must contain that level's k heaviest live matches; the
-// tail is scanned; tombstoned candidates are dropped and a k-selection
-// finishes. The query path never consults the policy and mutates
+// Query merges per-level candidates with the tail. A level is asked for
+// about as many items as its own tombstones can hollow out of its top,
+// not for k + |dead_j| whatever the query; once k candidates exist, later
+// levels are read only above the running k-th weight τ through the
+// paper's cost-monitored prioritized query. Each level contributes its k
+// heaviest live matches (or all of them), so the final k-selection is
+// exact (see TopK). The query path never consults the policy and mutates
 // nothing, so queries inherit the concurrency contract of the static
 // structures: any number may run in parallel (including through
-// em.Tracker query views), and per-query I/O stats are deterministic
-// regardless of parallelism — and identical under every policy.
+// em.Tracker query views), per-query I/O stats are deterministic
+// regardless of parallelism, and answers are identical under every
+// policy.
 //
 // All substructure build I/Os are charged to the Options.Tracker by the
 // builders themselves, and a discarded substructure's blocks are returned
@@ -61,6 +65,7 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"topk/internal/core"
 	"topk/internal/em"
@@ -71,9 +76,9 @@ import (
 // view; flush and rebuild spans run on the shared path under the
 // exclusive-update contract.
 const (
-	// PhaseLevel wraps one substructure's top-(k+dead) candidate query
-	// plus tombstone filtering. Level = overlay slot j, Arg = |dead_j|
-	// (the tombstone over-fetch).
+	// PhaseLevel wraps one level's candidate queries plus tombstone
+	// filtering. Level = overlay slot j, Arg = the number of items the
+	// level's sub-queries returned (what the level paid to read).
 	PhaseLevel = "dyn.level"
 	// PhaseTail is the unindexed tail scan. Arg = |tail|.
 	PhaseTail = "dyn.tail"
@@ -170,6 +175,9 @@ type level[Q, V any] struct {
 	items  []core.Item[V]         // exactly what sub was built over
 	dead   map[float64]struct{}   // tombstoned weights among items
 	blocks int64                  // tracker blocks attributed to sub
+	// heavy lists the weights of items heaviest first; the query path
+	// reads its prefix to see how deep the level's top is hollowed out.
+	heavy []float64
 }
 
 func (l *level[Q, V]) live() int { return len(l.items) - len(l.dead) }
@@ -419,9 +427,15 @@ func (o *Overlay[Q, V]) buildAt(j int, batch []core.Item[V]) error {
 	if err != nil {
 		return err
 	}
+	heavy := make([]float64, len(batch))
+	for i, it := range batch {
+		heavy[i] = it.Weight
+	}
+	slices.Sort(heavy)
+	slices.Reverse(heavy)
 	lvl := &level[Q, V]{
 		sub: sub, pri: core.PrioritizedOf(sub),
-		items: batch, dead: make(map[float64]struct{}),
+		items: batch, dead: make(map[float64]struct{}), heavy: heavy,
 	}
 	if o.opts.Tracker != nil {
 		lvl.blocks = o.opts.Tracker.Stats().Blocks - before
@@ -467,12 +481,48 @@ func (o *Overlay[Q, V]) single() (*level[Q, V], bool) {
 	return found, found != nil
 }
 
-// TopK answers a top-k query by merging per-level candidate sets with the
-// tail and tombstone-filtering: level j contributes its top-(k + dead_j)
-// matches, which necessarily include its k heaviest live ones. The result
-// is weight-descending with min(k, |q(D)|) items. Read-only; every charge
-// and span goes to v (nil: the shared path).
+// TopK answers a top-k query: every level contributes its k heaviest
+// live matches (or all of them), the tail is scanned, and a k-selection
+// over the merged candidates finishes. The result is weight-descending
+// with min(k, |q(D)|) items. Read-only; every charge and span goes to v
+// (nil: the shared path).
+//
+// Levels whose sized fetch is the exact size anyway (no or few
+// tombstones) are visited first. Within that split a level goes ahead of
+// any level whose live weights all lie below its own k-th heaviest live
+// weight, and otherwise larger levels go first (see visitOrder). After
+// each level only the k heaviest candidates are kept. A level is read in
+// one of two ways:
+//
+//   - Sized fetch, until k candidates exist (level.top). The level is
+//     asked for s = max(⌈2k·|items_j|/|live_j|⌉, r_j) items, capped at
+//     the exact size k + |dead_j| (or |items_j|, if less). r_j is the
+//     depth at which the level's heaviest-first weights have shown k
+//     live ones; it ignores q, and it catches levels whose heaviest items
+//     were deleted. A second query, at the exact size, runs only if the
+//     first came back full (s items, s below the cap) holding fewer than
+//     k live items. The fetch thus ends in one of three ways. Either it
+//     holds k live items, which are then the level's k heaviest live
+//     matches. Or it returned fewer than s items, so the level has no
+//     more matches. Or it used the exact size, whose at most |dead_j|
+//     dead items leave the k heaviest live.
+//   - τ-cut, once k candidates exist and the level has a prioritized
+//     structure (level.above). With τ the k-th heaviest candidate, only
+//     the level's matches of weight ≥ τ can enter the answer: a level
+//     whose heaviest live weight is below τ is skipped unread, and
+//     otherwise the paper's cost-monitored query collects them,
+//     terminated after k + |dead_j| + 1 items. A completed query has seen
+//     every match ≥ τ. An abort means more than k + |dead_j| matches lie
+//     above τ; at most |dead_j| of them are dead, so the fallback
+//     top-(k + |dead_j|) query holds the level's k heaviest live matches.
+//
+// The weights walk behind r_j and the visit order reads at most
+// k + |dead_j| entries per level; like the tombstone set, it is overlay
+// bookkeeping and is not charged.
 func (o *Overlay[Q, V]) TopK(v *em.QueryView, q Q, k int) []core.Item[V] {
+	// No answer exceeds the live count, and the clamp keeps k + |dead_j|
+	// within the item count, clear of overflow.
+	k = min(k, o.N())
 	if k <= 0 {
 		return nil
 	}
@@ -483,17 +533,19 @@ func (o *Overlay[Q, V]) TopK(v *em.QueryView, q Q, k int) []core.Item[V] {
 	}
 	tr := o.opts.Tracker
 	var cand []core.Item[V]
-	for j, lvl := range o.levels {
-		if lvl == nil {
-			continue
-		}
+	var visits [64]visit
+	for _, vis := range o.visitOrder(visits[:0], k) {
+		lvl := o.levels[vis.slot]
 		sp := tr.BeginSpan(v)
-		for _, it := range lvl.sub.TopK(v, q, k+len(lvl.dead)) {
-			if _, gone := lvl.dead[it.Weight]; !gone {
-				cand = append(cand, it)
-			}
+		var read int
+		switch {
+		case len(cand) < k || lvl.pri == nil:
+			cand, read = lvl.top(v, q, k, vis, cand)
+		case vis.top >= cand[k-1].Weight: // else no live item reaches τ
+			cand, read = lvl.above(v, q, k, cand[k-1].Weight, cand)
 		}
-		tr.EndSpan(v, sp, PhaseLevel, j, int64(len(lvl.dead)))
+		cand = core.TopKOf(cand, k)
+		tr.EndSpan(v, sp, PhaseLevel, vis.slot, int64(read))
 	}
 	if len(o.tail) > 0 {
 		sp := tr.BeginSpan(v)
@@ -510,6 +562,116 @@ func (o *Overlay[Q, V]) TopK(v *em.QueryView, q Q, k int) []core.Item[V] {
 	res := core.TopKOf(cand, k)
 	tr.EndSpan(v, sp, PhaseSelect, -1, int64(len(cand)))
 	return res
+}
+
+// visit is an occupied level as the query path sees it before reading
+// it: what the level's heaviest-first weights show, independent of q.
+type visit struct {
+	slot     int
+	top, kth float64 // heaviest and k-th heaviest live weight (-Inf: none)
+	// fetch is the sized fetch's first request s, and exact its cap: the
+	// exact size k + |dead_j|, but no more than the level holds.
+	fetch, exact int
+}
+
+// rank reads l's heaviest-first weights down to the k-th live one (at most
+// k + |dead_j| entries) and sizes the fetch from them: s asks for 2k live
+// items were the tombstones spread evenly, and for no less than r_j, the
+// depth of the k-th live weight.
+func (l *level[Q, V]) rank(slot, k int) visit {
+	vis := visit{slot: slot, top: math.Inf(-1), kth: math.Inf(-1)}
+	depth, live := len(l.heavy), 0
+	for i, w := range l.heavy {
+		if _, gone := l.dead[w]; gone {
+			continue
+		}
+		if live == 0 {
+			vis.top = w
+		}
+		if live++; live == k {
+			vis.kth, depth = w, i+1
+			break
+		}
+	}
+	vis.exact = min(k+len(l.dead), len(l.items))
+	vis.fetch = vis.exact
+	if even := math.Ceil(2 * float64(k) * float64(len(l.items)) / float64(l.live())); even < float64(vis.exact) {
+		vis.fetch = max(int(even), depth)
+	}
+	return vis
+}
+
+// visitOrder appends the occupied levels to buf in visit order. Level a
+// goes ahead of level b when
+//
+//   - a's sized fetch already asks the exact size and b's does not. Such
+//     a level (one with no or few tombstones) costs what the plain
+//     k + |dead_j| query cost, so visiting these first sets τ before any
+//     hollowed level is reached, and the hollowed level is then read by
+//     the τ-cut rather than a guessed size. A black box's cost need not
+//     grow with the size asked: Theorem 2 answers any k above n/4 by one
+//     O(n/B) scan, which can undercut its ladder at a smaller k where the
+//     max structure is costly.
+//   - otherwise, a dominates b: a's k-th heaviest live weight exceeds
+//     every live weight of b. Once a has supplied k candidates b can add
+//     nothing, and the τ-cut skips it unread. Under rising weights every
+//     newer level dominates the older ones.
+//   - otherwise, a has more live items: its k-th heaviest match tends to
+//     weigh more, which raises τ for the levels after it.
+//
+// Ties keep slot order. Domination is antisymmetric but not transitive,
+// so the order is the result of insertion in slot order.
+func (o *Overlay[Q, V]) visitOrder(buf []visit, k int) []visit {
+	ahead := func(a, b visit) bool {
+		if ea, eb := a.fetch == a.exact, b.fetch == b.exact; ea != eb {
+			return ea
+		}
+		switch {
+		case a.kth > b.top:
+			return true
+		case b.kth > a.top:
+			return false
+		}
+		return o.levels[a.slot].live() > o.levels[b.slot].live()
+	}
+	for j, lvl := range o.levels {
+		if lvl == nil {
+			continue
+		}
+		buf = append(buf, lvl.rank(j, k))
+		for i := len(buf) - 1; i > 0 && ahead(buf[i], buf[i-1]); i-- {
+			buf[i-1], buf[i] = buf[i], buf[i-1]
+		}
+	}
+	return buf
+}
+
+// top appends the level's k heaviest live matches (all of them, if fewer)
+// to cand through the sized fetch, and reports how many items its
+// sub-queries returned.
+func (l *level[Q, V]) top(v *em.QueryView, q Q, k int, vis visit, cand []core.Item[V]) ([]core.Item[V], int) {
+	res := l.sub.TopK(v, q, vis.fetch)
+	mark := len(cand)
+	cand = l.keepLive(cand, res)
+	if len(res) == vis.fetch && vis.fetch < vis.exact && len(cand)-mark < k {
+		read := len(res)
+		res = l.sub.TopK(v, q, k+len(l.dead))
+		return l.keepLive(cand[:mark], res), read + len(res)
+	}
+	return cand, len(res)
+}
+
+// above appends the level's live matches of weight ≥ tau to cand — or,
+// when the cost-monitored query aborts, its k heaviest live matches — and
+// reports how many items its sub-queries returned.
+func (l *level[Q, V]) above(v *em.QueryView, q Q, k int, tau float64, cand []core.Item[V]) ([]core.Item[V], int) {
+	exact := k + len(l.dead)
+	got, complete := core.CollectAtMost(v, l.pri, q, tau, exact)
+	if complete {
+		return l.keepLive(cand, got), len(got)
+	}
+	res := l.sub.TopK(v, q, exact)
+	return l.keepLive(cand, res), len(got) + len(res)
 }
 
 // ReportAbove streams every live item satisfying q with weight ≥ tau,
@@ -577,8 +739,13 @@ func (o *Overlay[Q, V]) charge(v *em.QueryView, nItems int) {
 
 // appendLive appends lvl's non-tombstoned items to dst.
 func appendLive[Q, V any](dst []core.Item[V], lvl *level[Q, V]) []core.Item[V] {
-	for _, it := range lvl.items {
-		if _, gone := lvl.dead[it.Weight]; !gone {
+	return lvl.keepLive(dst, lvl.items)
+}
+
+// keepLive appends the items of from that are not tombstoned in l to dst.
+func (l *level[Q, V]) keepLive(dst, from []core.Item[V]) []core.Item[V] {
+	for _, it := range from {
+		if _, gone := l.dead[it.Weight]; !gone {
 			dst = append(dst, it)
 		}
 	}

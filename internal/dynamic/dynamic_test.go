@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -50,7 +51,7 @@ func (o oracle) topK(q float64, k int) []float64 {
 	return ws
 }
 
-func weightsOf(items []core.Item[float64]) []float64 {
+func weightsOf[V any](items []core.Item[V]) []float64 {
 	ws := make([]float64, len(items))
 	for i, it := range items {
 		ws[i] = it.Weight
@@ -371,4 +372,91 @@ func TestTopKOverfetchesPastTombstones(t *testing.T) {
 	}
 	got := weightsOf(o.TopK(nil, math.Inf(1), 3))
 	sameWeights(t, got, []float64{33, 32, 31}, "post-tombstone TopK")
+}
+
+// nopSink turns tracing on so query views keep their spans.
+type nopSink struct{}
+
+func (nopSink) Event(em.TraceEvent)                  {}
+func (nopSink) QueryTrace([]em.TraceEvent, em.Stats) {}
+
+func TestTopKRefetchesHollowedMatches(t *testing.T) {
+	// 400 items, value i%4, weight i, in one level. The 60 heaviest items
+	// of value 0 are deleted: a query for value 0 finds its top hollowed
+	// out, although the level's heaviest weights overall are live.
+	tr := em.NewTracker(em.Config{B: 64, MemBlocks: 8})
+	tr.SetTraceSink(nopSink{})
+	var init []core.Item[float64]
+	for i := 0; i < 400; i++ {
+		init = append(init, item(float64(i%4), float64(i)))
+	}
+	o, err := New(init, thresholdMatch, scanBuilder(tr), Options{Tracker: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 396; w >= 160; w -= 4 {
+		if !o.DeleteWeight(float64(w)) {
+			t.Fatalf("delete %d", w)
+		}
+	}
+	for _, c := range []struct {
+		q    float64
+		want []float64
+		read int64 // items the level's sub-queries returned
+	}{
+		// k = 3: s = max(⌈2·3·400/340⌉, r_j = 3) = 8 matches, all dead, so a
+		// second query asks for the exact k + |dead_j| = 63.
+		{0, []float64{156, 152, 148}, 8 + 63},
+		// Every item matches: the first 8 hold 6 live ones, enough.
+		{3, []float64{399, 398, 397}, 8},
+	} {
+		v := tr.BeginQuery()
+		got := weightsOf(o.TopK(v, c.q, 3))
+		v.End()
+		sameWeights(t, got, c.want, fmt.Sprintf("q=%v", c.q))
+		var read int64 = -1
+		for _, ev := range v.Trace() {
+			if ev.Phase == PhaseLevel {
+				read = ev.Arg
+			}
+		}
+		if read != c.read {
+			t.Fatalf("q=%v: %s span Arg = %d, want %d items read", c.q, PhaseLevel, read, c.read)
+		}
+	}
+}
+
+func TestTopKSkipsDominatedLevels(t *testing.T) {
+	// A light level (weights 0..399) and a heavier, newer one (weights
+	// 1000..1199): the heavy level's 5th live weight tops every weight of
+	// the light one, so it is read first and the light level never is.
+	tr := em.NewTracker(em.Config{B: 64, MemBlocks: 8})
+	tr.SetTraceSink(nopSink{})
+	var init, heavy []core.Item[float64]
+	for i := 0; i < 400; i++ {
+		init = append(init, item(float64(i%4), float64(i)))
+	}
+	for i := 0; i < 200; i++ {
+		heavy = append(heavy, item(float64(i%4), float64(1000+i)))
+	}
+	o, err := New(init, thresholdMatch, scanBuilder(tr), Options{Tracker: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.InsertBatch(heavy); err != nil {
+		t.Fatal(err)
+	}
+	light := o.where[0]
+	if o.where[1000] == light {
+		t.Fatal("setup: the two batches share a level")
+	}
+	v := tr.BeginQuery()
+	got := weightsOf(o.TopK(v, 3, 5))
+	v.End()
+	sameWeights(t, got, []float64{1199, 1198, 1197, 1196, 1195}, "TopK")
+	for _, ev := range v.Trace() {
+		if ev.Phase == PhaseLevel && ev.Level == light && (ev.Arg != 0 || ev.IOs() != 0) {
+			t.Fatalf("dominated level read %d items for %d I/Os, want none", ev.Arg, ev.IOs())
+		}
+	}
 }

@@ -12,11 +12,15 @@ import (
 // through three structures at once — an overlay under PolicyLogarithmic,
 // an overlay under PolicyBuffered, and a plain-map full-scan oracle —
 // and requires byte-identical answers everywhere. Ops cover single and
-// bulk inserts, single and bulk deletes, queries and export/restore.
+// bulk inserts, single and bulk deletes, deletes of a query's heaviest
+// live matches (which hollow out level tops, driving the query's second
+// fetch and its τ-cut fallback), queries and export/restore.
 func FuzzOverlayPolicies(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{1, 200, 1, 201, 1, 202, 3, 0, 2, 200, 4, 50})
 	f.Add([]byte{5, 5, 5, 1, 9, 2, 9, 5})
+	f.Add([]byte{3, 23, 0, 3, 23, 10, 3, 23, 20, 3, 23, 30, 6, 7, 10, 6, 7, 10, 6, 7, 10, 5, 10, 2, 6, 7, 200, 5, 10, 2, 5, 200, 9})
+	f.Add([]byte{1, 60, 1, 1, 62, 1, 3, 23, 0, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 5, 255, 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lg := mustOverlay(t, PolicyLogarithmic)
@@ -53,7 +57,7 @@ func FuzzOverlayPolicies(f *testing.F) {
 		for i := 0; i < len(data); {
 			op := data[i]
 			i++
-			switch op % 6 {
+			switch op % 7 {
 			case 0: // insert fresh
 				nextW++
 				insert(float64(u8(i))/3, nextW)
@@ -130,6 +134,16 @@ func FuzzOverlayPolicies(f *testing.F) {
 				want := ora.topK(q, k)
 				sameWeights(t, weightsOf(lg.TopK(nil, q, k)), want, "logarithmic TopK")
 				sameWeights(t, weightsOf(bf.TopK(nil, q, k)), want, "buffered TopK")
+			case 6: // delete a query's heaviest live matches
+				m := int(u8(i))%8 + 1
+				q := float64(u8(i+1)) / 2
+				i += 2
+				for _, w := range ora.topK(q, m) {
+					if !lg.DeleteWeight(w) || !bf.DeleteWeight(w) {
+						t.Fatalf("DeleteWeight(%v) of a heaviest live match failed", w)
+					}
+					delete(ora, w)
+				}
 			}
 			if lg.N() != len(ora) || bf.N() != len(ora) {
 				t.Fatalf("N: logarithmic %d, buffered %d, oracle %d", lg.N(), bf.N(), len(ora))

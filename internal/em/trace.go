@@ -37,7 +37,8 @@ type TraceEvent struct {
 	// depth, ladder rung, overlay level), or -1 when not applicable.
 	Level int
 	// Arg is a phase-specific magnitude: items scanned, round ordinal,
-	// tombstone over-fetch, batch size. See the taxonomy for each phase.
+	// items an overlay level's sub-queries returned, batch size. See the
+	// taxonomy for each phase.
 	Arg int64
 	// Depth is the span nesting depth within its query. Depth-0 spans
 	// partition the query's total cost: summed per counter they equal
