@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-json bench-check experiments validate examples serve-smoke snap-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
+.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-json bench-check perfbench-check experiments validate examples serve-smoke snap-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
 
 all: build vet test
 
@@ -99,6 +99,15 @@ bench-check:
 	$(GO) run ./cmd/topk-bench -io-json /tmp/topk-bench-current.json; \
 	echo "bench-check: diffing against $$base"; \
 	$(GO) run ./cmd/benchdiff "$$base" /tmp/topk-bench-current.json
+
+# Vet and self-test the benchmark module against this tree. perfbench/
+# is its own module (it reaches topk through a replace directive), so the
+# root's build, vet and test never compile it; without this target a
+# break in the API surface it uses would surface only as a failed
+# benchmark run. The self-test builds topk-serve and topk-snap into a
+# temporary directory and runs each workload briefly.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # End-to-end smoke of the serving surface: start topk-serve, poll
 # /healthz, answer a /query batch, and assert /metrics exposes populated
@@ -247,7 +256,8 @@ load-curve:
 # NDJSON stream (plus one delete) through POST /ingest, checkpoint into
 # the snapshot directory, SIGKILL the server, warm-start it over the
 # same directory, and assert the restore kept every ingested item and
-# answers the same query batch byte-identically.
+# answers the same query batch byte-identically. /debug/vars must report
+# the live item count after the ingest, not the boot-time one.
 ingest-smoke:
 	$(GO) build -o /tmp/topk-serve ./cmd/topk-serve
 	@rm -rf /tmp/topk-ingest-smoke && mkdir -p /tmp/topk-ingest-smoke
@@ -265,6 +275,8 @@ ingest-smoke:
 	echo "$$resp" | grep -q '"inserted":500' || { echo "FAIL: /ingest inserted: $$resp"; exit 1; }; \
 	echo "$$resp" | grep -q '"deleted":1' || { echo "FAIL: /ingest deleted: $$resp"; exit 1; }; \
 	echo "$$resp" | grep -q '"items":5499' || { echo "FAIL: /ingest items: $$resp"; exit 1; }; \
+	curl -sf http://127.0.0.1:18105/debug/vars | grep -q '"topk_items": 5499' \
+		|| { echo "FAIL: /debug/vars topk_items did not follow the ingest"; exit 1; }; \
 	before=$$(curl -sf -X POST http://127.0.0.1:18105/query -d '{"queries":[10,50,90],"k":5}' | sed 's/"elapsed":"[^"]*",//'); \
 	curl -sf -X POST http://127.0.0.1:18105/snapshot | grep -q '"dir"' || { echo "FAIL: POST /snapshot"; exit 1; }; \
 	kill -9 $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
@@ -350,4 +362,4 @@ clean:
 # What CI runs (.github/workflows/ci.yml), runnable locally. CI
 # additionally runs staticcheck and govulncheck, which are not vendored
 # here.
-ci: build vet fmt-check test race cover fuzz-smoke serve-smoke snap-smoke load-smoke ingest-smoke cluster-smoke bench-check
+ci: build vet fmt-check test race cover fuzz-smoke serve-smoke snap-smoke load-smoke ingest-smoke cluster-smoke perfbench-check bench-check

@@ -208,8 +208,8 @@ func TestBatchErrorStringsMatchSingle(t *testing.T) {
 		}
 		return ix
 	}
-	mkSharded := func() *ShardedIntervalIndex[int] {
-		s, err := NewShardedIntervalIndex(base, 3, WithUpdates(), WithReduction(WorstCase))
+	mkSharded := func() *shardedIntervals {
+		s, err := newShardedIntervals(base, 3, WithUpdates(), WithReduction(WorstCase))
 		if err != nil {
 			t.Fatal(err)
 		}

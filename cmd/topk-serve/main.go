@@ -89,10 +89,9 @@ type server struct {
 	// is unchanged in any measurable way.
 	ixMu sync.RWMutex
 
-	// Request-lifecycle defaults, overridable per /query request.
-	budget   int64         // I/O budget per query per shard (0 = unlimited)
-	deadline time.Duration // wall-clock deadline per batch (0 = none)
-	degrade  bool          // fall back to top-1 Max instead of failing
+	// limits are the request-lifecycle defaults, overridable per /query
+	// request.
+	limits cluster.Limits
 
 	// procReg holds the process-level runtime gauges (goroutines, heap,
 	// GC); index metrics live in the index's own registry.
@@ -106,40 +105,6 @@ type server struct {
 	restoreReads int64
 	snapMu       sync.Mutex // serializes checkpoints (timer vs POST /snapshot)
 	checkpoints  expvar.Int
-}
-
-// queryRequest is the /query body. Queries are problem-shaped; see
-// GET /problems for each problem's wire shape.
-type queryRequest struct {
-	Queries     []json.RawMessage `json:"queries"`
-	K           int               `json:"k"`
-	Parallelism int               `json:"parallelism"`
-	// BudgetIOs overrides the server's -io-budget for this request:
-	// > 0 sets a cap, < 0 disables the server default, 0 keeps it.
-	BudgetIOs int64 `json:"budget_ios,omitempty"`
-	// DeadlineMS overrides -deadline the same way.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Degrade overrides -degrade-max when present.
-	Degrade *bool `json:"degrade,omitempty"`
-}
-
-// queryResult is one query's slice of the /query response.
-type queryResult struct {
-	Items []resultItem `json:"items"`
-	Reads int64        `json:"reads"`
-	Wri   int64        `json:"writes"`
-	Hits  int64        `json:"hits"`
-	IOs   int64        `json:"ios"`
-	// Outcome is how the query ended under its lifecycle limits: "ok",
-	// "degraded" (top-1 fallback), "budget_exceeded", or
-	// "deadline_exceeded".
-	Outcome string `json:"outcome"`
-	Error   string `json:"error,omitempty"`
-}
-
-type resultItem struct {
-	Weight float64 `json:"weight"`
-	Label  string  `json:"label,omitempty"`
 }
 
 // ringWriter retains the last few slow-query entries for /debug/slow.
@@ -222,6 +187,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "topk-serve: unknown -maintenance %q (want logarithmic or buffered)\n", *maintenance)
 		os.Exit(1)
 	}
+	if *slowKeep < 1 {
+		fmt.Fprintf(os.Stderr, "topk-serve: -slow-keep %d: want at least 1 retained entry\n", *slowKeep)
+		os.Exit(1)
+	}
 
 	slow := newRingWriter(*slowKeep)
 	srv, err := buildServer(*problem, *n, *shards, *seed, *slowIOs, *parallelism, *snapDir, *slowKeep, slow, qlogW, extra...)
@@ -229,18 +198,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "topk-serve: %v\n", err)
 		os.Exit(1)
 	}
-	srv.deadline = *deadline
-	srv.degrade = *degradeMax
-	srv.budget = *ioBudget
+	srv.limits = cluster.Limits{BudgetIOs: *ioBudget, Deadline: *deadline, Degrade: *degradeMax}
 	if *ioBudget < 0 {
-		srv.budget = srv.calibrateBudget(*seed)
-		log.Printf("topk-serve: auto-derived I/O budget: %d I/Os per query per shard", srv.budget)
+		srv.limits.BudgetIOs = srv.calibrateBudget(*seed)
+		log.Printf("topk-serve: auto-derived I/O budget: %d I/Os per query per shard", srv.limits.BudgetIOs)
 	}
 	srv.procReg = obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(srv.procReg, buildVersion())
 
 	expvar.NewString("topk_problem").Set(*problem)
-	expvar.NewInt("topk_items").Set(int64(srv.ix.Len()))
+	// The live item count follows /ingest, so it is read at scrape time.
+	expvar.Publish("topk_items", expvar.Func(func() any {
+		srv.ixMu.RLock()
+		defer srv.ixMu.RUnlock()
+		return srv.ix.Len()
+	}))
 	expvar.NewInt("topk_shards").Set(int64(srv.ix.Shards()))
 	warm := expvar.NewInt("topk_warm_start")
 	if srv.warmStart {
@@ -248,8 +220,8 @@ func main() {
 	}
 	expvar.NewInt("topk_restore_read_ios").Set(srv.restoreReads)
 	expvar.Publish("topk_checkpoints_total", &srv.checkpoints)
-	expvar.NewInt("topk_io_budget").Set(srv.budget)
-	expvar.NewInt("topk_deadline_ms").Set(srv.deadline.Milliseconds())
+	expvar.NewInt("topk_io_budget").Set(srv.limits.BudgetIOs)
+	expvar.NewInt("topk_deadline_ms").Set(srv.limits.Deadline.Milliseconds())
 
 	if srv.snapDir != "" && !srv.warmStart {
 		// Cold boot with persistence on: seed the directory so the next
@@ -271,7 +243,8 @@ func main() {
 
 	http.HandleFunc("/metrics", srv.handleMetrics)
 	http.HandleFunc("/problems", handleProblems)
-	http.HandleFunc("/query", srv.handleQuery)
+	http.Handle("/query", cluster.QueryHandler(srv.problem, srv.shards,
+		cluster.ServedBackend(srv.ix, srv.limits, srv.parallelism, srv.ixMu.RLocker())))
 	http.HandleFunc("/ingest", srv.handleIngest)
 	http.HandleFunc("/snapshot", srv.handleSnapshot)
 	if srv.snapDir != "" {
@@ -383,30 +356,6 @@ func (s *server) calibrateBudget(seed uint64) int64 {
 		budget = 16
 	}
 	return budget
-}
-
-// queryCtx assembles one request's lifecycle limits from the server
-// defaults and the request's overrides.
-func (s *server) queryCtx(req queryRequest) topk.QueryCtx {
-	ctx := topk.QueryCtx{IOBudget: s.budget, DegradeToMax: s.degrade}
-	if req.BudgetIOs > 0 {
-		ctx.IOBudget = req.BudgetIOs
-	} else if req.BudgetIOs < 0 {
-		ctx.IOBudget = 0
-	}
-	d := s.deadline
-	if req.DeadlineMS > 0 {
-		d = time.Duration(req.DeadlineMS) * time.Millisecond
-	} else if req.DeadlineMS < 0 {
-		d = 0
-	}
-	if d > 0 {
-		ctx.Deadline = time.Now().Add(d)
-	}
-	if req.Degrade != nil {
-		ctx.DegradeToMax = *req.Degrade
-	}
-	return ctx
 }
 
 // checkpoint snapshots the index into s.snapDir atomically: the snapshot
@@ -540,7 +489,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	seed := uint64(intParam("seed", 1, 1<<30))
 	s.ixMu.RLock()
 	qs := s.ix.GenQueries(n, seed)
-	res := s.ix.QueryBatchCtx(s.queryCtx(queryRequest{}), qs, k, 0)
+	res := s.ix.QueryBatchCtx(cluster.QueryOptions{}.QueryCtx(s.limits), qs, k, 0)
 	s.ixMu.RUnlock()
 	traces := make([]topk.NamedTrace, len(res))
 	for i, br := range res {
@@ -553,65 +502,6 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if err := topk.WriteChromeTrace(w, traces); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) == 0 || len(req.Queries) > 10000 {
-		http.Error(w, "need 1..10000 queries", http.StatusBadRequest)
-		return
-	}
-	if req.K <= 0 || req.K > 1000 {
-		http.Error(w, "need 1 <= k <= 1000", http.StatusBadRequest)
-		return
-	}
-	qs := make([]any, len(req.Queries))
-	for i, raw := range req.Queries {
-		q, err := s.ix.DecodeQuery(raw)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("query %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
-		qs[i] = q
-	}
-	p := req.Parallelism
-	if p == 0 {
-		p = s.parallelism
-	}
-	start := time.Now()
-	s.ixMu.RLock()
-	res := s.ix.QueryBatchCtx(s.queryCtx(req), qs, req.K, p)
-	s.ixMu.RUnlock()
-	out := make([]queryResult, len(res))
-	for i, r := range res {
-		out[i] = queryResult{
-			Items: make([]resultItem, 0, len(r.Items)),
-			Reads: r.Stats.Reads, Wri: r.Stats.Writes, Hits: r.Stats.Hits, IOs: r.Stats.IOs(),
-			Outcome: r.Outcome.String(),
-		}
-		if r.Err != nil {
-			out[i].Error = r.Err.Error()
-		}
-		for _, it := range r.Items {
-			out[i].Items = append(out[i].Items, resultItem{Weight: it.Weight, Label: it.Label})
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"problem": s.problem,
-		"shards":  s.shards,
-		"k":       req.K,
-		"elapsed": time.Since(start).String(),
-		"results": out,
-	})
 }
 
 // handleIngest is the bulk-update endpoint: POST /ingest with an NDJSON

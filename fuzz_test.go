@@ -134,7 +134,7 @@ func FuzzShardedInterval(f *testing.F) {
 		if data[1]&0x80 != 0 {
 			policy = ShardRoundRobin
 		}
-		sharded, err := NewShardedIntervalIndex([]IntervalItem[int]{}, shards,
+		sharded, err := newShardedIntervals([]IntervalItem[int]{}, shards,
 			WithReduction(r), WithUpdates(), WithSeed(1), WithShardPolicy(policy))
 		if err != nil {
 			t.Fatal(err)

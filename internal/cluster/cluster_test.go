@@ -77,27 +77,6 @@ func newCoordinator(t *testing.T, spec topk.ProblemSpec, reps []cluster.Replica,
 	return co
 }
 
-// renderRef renders a single-process QueryBatchCtx result in the wire
-// shape, mirroring topk-serve's /query rendering — the cluster answer
-// must be byte-identical to this.
-func renderRef(res []topk.BatchResult[topk.ServedItem]) []cluster.ShardResult {
-	out := make([]cluster.ShardResult, len(res))
-	for i, r := range res {
-		out[i] = cluster.ShardResult{
-			Items: make([]cluster.WireItem, 0, len(r.Items)),
-			Reads: r.Stats.Reads, Writes: r.Stats.Writes, Hits: r.Stats.Hits, IOs: r.Stats.IOs(),
-			Outcome: r.Outcome.String(),
-		}
-		if r.Err != nil {
-			out[i].Error = r.Err.Error()
-		}
-		for _, it := range r.Items {
-			out[i].Items = append(out[i].Items, cluster.WireItem{Weight: it.Weight, Label: it.Label})
-		}
-	}
-	return out
-}
-
 func decodeAll(t *testing.T, ref topk.Served, queries []json.RawMessage) []any {
 	t.Helper()
 	qs := make([]any, len(queries))
@@ -137,7 +116,7 @@ func TestClusterConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := renderRef(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0))
+			want := cluster.Render(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0))
 			if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
 				t.Fatalf("cluster answer differs from single-process reference:\n got %s\nwant %s", g, w)
 			}
@@ -188,7 +167,7 @@ func TestClusterDegradation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := renderRef(ref.QueryBatchCtx(row.refCtx, qs, testK, 0))
+			want := cluster.Render(ref.QueryBatchCtx(row.refCtx, qs, testK, 0))
 			if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
 				t.Fatalf("degraded cluster answer differs from reference:\n got %s\nwant %s", g, w)
 			}
@@ -271,7 +250,7 @@ func TestClusterHedgedReads(t *testing.T) {
 	}
 	dir, ref := buildSnapshot(t, spec)
 	queries := spec.WireQueries(testNQ, testSeed+3)
-	want := mustJSON(t, renderRef(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0)))
+	want := mustJSON(t, cluster.Render(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0)))
 
 	reps := buildReplicas(t, spec, dir, 2)
 	// Wedge the preferred owner of shard 0 so some dispatches stall.
@@ -308,7 +287,7 @@ func TestClusterFailover(t *testing.T) {
 	}
 	dir, ref := buildSnapshot(t, spec)
 	queries := spec.WireQueries(testNQ, testSeed+4)
-	want := mustJSON(t, renderRef(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0)))
+	want := mustJSON(t, cluster.Render(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0)))
 
 	reps := buildReplicas(t, spec, dir, 2)
 	co := newCoordinator(t, spec, reps, nil)

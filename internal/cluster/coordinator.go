@@ -65,21 +65,9 @@ type Config struct {
 	DegradeToMax bool
 }
 
-// QueryOptions are one request's lifecycle overrides, mirroring the
-// /query body: > 0 overrides the default, < 0 forces the limit off,
-// 0 keeps the coordinator default. DeadlineAt, when set, is an absolute
-// deadline that wins over DeadlineMS (the conformance suite uses it to
-// pin already-expired deadlines deterministically).
-type QueryOptions struct {
-	BudgetIOs  int64
-	DeadlineMS int64
-	DeadlineAt time.Time
-	Degrade    *bool
-}
-
 // Coordinator fans query batches out to replica groups and merges the
-// per-shard answers under the same rules as a single-process Sharded
-// index. Safe for concurrent use.
+// per-shard answers with the single-process sharded index's own merge
+// (topk.MergeShardResults). Safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
 	byID   map[string]Replica
@@ -177,36 +165,15 @@ func (c *Coordinator) admissionBudget() int64 {
 	return b
 }
 
-// resolveBudget applies a request's override to the default budget.
-func (c *Coordinator) resolveBudget(opt QueryOptions) int64 {
-	switch {
-	case opt.BudgetIOs > 0:
-		return opt.BudgetIOs
-	case opt.BudgetIOs < 0:
-		return 0
-	case c.cfg.BudgetIOs < 0:
-		return c.admissionBudget()
-	default:
-		return c.cfg.BudgetIOs
+// limits are the coordinator's request-lifecycle defaults. Under
+// admission control (Config.BudgetIOs == -1) the default budget is the
+// live one admissionBudget derives.
+func (c *Coordinator) limits() Limits {
+	def := Limits{BudgetIOs: c.cfg.BudgetIOs, Deadline: c.cfg.Deadline, Degrade: c.cfg.DegradeToMax}
+	if def.BudgetIOs < 0 {
+		def.BudgetIOs = c.admissionBudget()
 	}
-}
-
-// resolveDeadline applies a request's override to the default deadline,
-// returning the absolute instant (zero = none).
-func (c *Coordinator) resolveDeadline(opt QueryOptions) time.Time {
-	if !opt.DeadlineAt.IsZero() {
-		return opt.DeadlineAt
-	}
-	d := c.cfg.Deadline
-	if opt.DeadlineMS > 0 {
-		d = time.Duration(opt.DeadlineMS) * time.Millisecond
-	} else if opt.DeadlineMS < 0 {
-		d = 0
-	}
-	if d <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(d)
+	return def
 }
 
 // remainingMS renders an absolute deadline as the wire's relative form
@@ -229,12 +196,13 @@ func remainingMS(dl time.Time) int64 {
 }
 
 // Query answers one batch of wire-shaped queries across the cluster:
-// fan out to one replica per shard (hedging per shard as needed), then
-// merge per query under the single-process Sharded rules — full Lemma 2
-// merge when every shard is OK, exact top-1 prefix when any shard
-// degraded, typed refusal when a shard aborted without the fallback,
-// and OutcomeUnavailable when a shard's whole replica group failed at
-// the transport layer.
+// resolve the request's overrides against the coordinator's defaults
+// (QueryOptions.QueryCtx), fan out to one replica per shard (hedging per
+// shard as needed), then merge per query with topk.MergeShardResults —
+// full Lemma 2 merge when every shard is OK, exact top-1 prefix when any
+// shard degraded, typed refusal when a shard aborted without the
+// fallback — or answer OutcomeUnavailable when a shard's whole replica
+// group failed at the transport layer.
 func (c *Coordinator) Query(ctx context.Context, queries []json.RawMessage, k int, opt QueryOptions) ([]ShardResult, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("cluster: empty query batch")
@@ -242,12 +210,8 @@ func (c *Coordinator) Query(ctx context.Context, queries []json.RawMessage, k in
 	if k < 1 {
 		return nil, fmt.Errorf("cluster: need k >= 1, got %d", k)
 	}
-	budget := c.resolveBudget(opt)
-	dl := c.resolveDeadline(opt)
-	degrade := c.cfg.DegradeToMax
-	if opt.Degrade != nil {
-		degrade = *opt.Degrade
-	}
+	qc := opt.QueryCtx(c.limits())
+	dl := qc.Deadline
 
 	// The coordinator waits past the query deadline by a grace period:
 	// replicas whose engines trip the deadline still owe a (degraded or
@@ -275,7 +239,7 @@ func (c *Coordinator) Query(ctx context.Context, queries []json.RawMessage, k in
 			defer wg.Done()
 			req := ShardRequest{
 				Shard: s, Queries: queries, K: k,
-				BudgetIOs: budget, DeadlineMS: remainingMS(dl), Degrade: degrade,
+				BudgetIOs: qc.IOBudget, DeadlineMS: remainingMS(dl), Degrade: qc.DegradeToMax,
 			}
 			per[s], errs[s] = c.queryShard(wctx, req)
 		}(s)
@@ -368,64 +332,38 @@ func (c *Coordinator) queryShard(ctx context.Context, req ShardRequest) (ShardRe
 	}
 }
 
-// merge combines per-shard responses into per-query results under the
-// same rules as Sharded.QueryBatchCtx, with one cluster-only addition:
-// a shard whose whole replica group failed makes its queries
-// OutcomeUnavailable — a typed refusal, never a silently partial
-// answer.
+// merge combines per-shard responses into per-query results. The one
+// cluster-only rule lives here: a shard whose whole replica group failed
+// makes every query OutcomeUnavailable — a typed refusal, never a
+// silently partial answer. Otherwise each query's per-shard wire
+// results are parsed back into typed results and merged by
+// topk.MergeShardResults, the function the in-process sharded index
+// calls.
 func (c *Coordinator) merge(queries []json.RawMessage, k int, per []ShardResponse, errs []error) []ShardResult {
-	var lost error
+	out := make([]topk.BatchResult[topk.ServedItem], len(queries))
 	for _, err := range errs {
 		if err != nil {
-			lost = err
-			break
+			for qi := range out {
+				c.met.Unavailable.Inc()
+				out[qi] = topk.BatchResult[topk.ServedItem]{Outcome: topk.OutcomeUnavailable, Err: err}
+			}
+			return Render(out)
 		}
 	}
-	weightOf := func(it WireItem) float64 { return it.Weight }
-	out := make([]ShardResult, len(queries))
-	lists := make([][]WireItem, 0, len(per))
-	for qi := range queries {
-		r := &out[qi]
-		r.Items = []WireItem{}
-		if lost != nil {
-			c.met.Unavailable.Inc()
-			r.Outcome = topk.OutcomeUnavailable.String()
-			r.Error = lost.Error()
-			continue
-		}
-		worst := topk.OutcomeOK
-		lists = lists[:0]
+	col := make([]topk.BatchResult[topk.ServedItem], len(per))
+	for qi := range out {
 		for si := range per {
-			sr := per[si].Results[qi]
-			lists = append(lists, sr.Items)
-			r.Reads += sr.Reads
-			r.Writes += sr.Writes
-			r.Hits += sr.Hits
-			r.IOs += sr.IOs
-			if o, ok := topk.ParseOutcome(sr.Outcome); ok && o != topk.OutcomeOK && o > worst {
-				worst = o
-			}
-			if r.Error == "" {
-				r.Error = sr.Error
-			}
+			col[si] = per[si].Results[qi].parse()
 		}
-		items := shard.MergeDesc(lists, k, weightOf)
-		switch {
-		case worst == topk.OutcomeDegraded:
-			// Every aborted shard fell back to its exact local top-1, so
-			// the merged head is the exact global maximum.
-			if len(items) > 1 {
-				items = items[:1]
-			}
+		out[qi] = topk.MergeShardResults(col, k, servedWeight)
+		if out[qi].Outcome == topk.OutcomeDegraded {
 			c.met.Degraded.Inc()
-		case worst != topk.OutcomeOK:
-			items = nil
 		}
-		r.Items = append(r.Items, items...)
-		r.Outcome = worst.String()
 	}
-	return out
+	return Render(out)
 }
+
+func servedWeight(it topk.ServedItem) float64 { return it.Weight }
 
 // Ready reports whether every shard has at least one owner currently
 // serving it, by asking each replica for its Info. It is the

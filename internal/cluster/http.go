@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,15 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"topk"
 )
 
 // Server is the coordinator's HTTP surface. Its POST /query is
-// byte-compatible with topk-serve's (same body, same response envelope
-// modulo the elapsed timing string), so clients and topk-loadgen work
-// against either unchanged.
+// topk-serve's own handler (QueryHandler) over the coordinator, so
+// clients and topk-loadgen work against either unchanged.
 type Server struct {
 	co      *Coordinator
 	snapDir string
@@ -42,9 +41,11 @@ func NewServer(co *Coordinator, snapDir string, nodes []string) *Server {
 //	GET  /healthz           liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
+	cfg := s.co.Config()
+	mux.Handle("/query", QueryHandler(cfg.Problem, cfg.Shards, func(ctx context.Context, req QueryRequest) ([]ShardResult, error) {
+		return s.co.Query(ctx, req.Queries, req.K, req.QueryOptions)
+	}))
 	mux.HandleFunc("/cluster/config", func(w http.ResponseWriter, _ *http.Request) {
-		cfg := s.co.Config()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(RemoteConfig{
 			Problem: cfg.Problem, Shards: cfg.Shards,
@@ -69,50 +70,6 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req struct {
-		Queries     []json.RawMessage `json:"queries"`
-		K           int               `json:"k"`
-		Parallelism int               `json:"parallelism"` // accepted for parity; nodes pick their own
-		BudgetIOs   int64             `json:"budget_ios,omitempty"`
-		DeadlineMS  int64             `json:"deadline_ms,omitempty"`
-		Degrade     *bool             `json:"degrade,omitempty"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) == 0 || len(req.Queries) > 10000 {
-		http.Error(w, "need 1..10000 queries", http.StatusBadRequest)
-		return
-	}
-	if req.K <= 0 || req.K > 1000 {
-		http.Error(w, "need 1 <= k <= 1000", http.StatusBadRequest)
-		return
-	}
-	start := time.Now()
-	results, err := s.co.Query(r.Context(), req.Queries, req.K, QueryOptions{
-		BudgetIOs: req.BudgetIOs, DeadlineMS: req.DeadlineMS, Degrade: req.Degrade,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	cfg := s.co.Config()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"problem": cfg.Problem,
-		"shards":  cfg.Shards,
-		"k":       req.K,
-		"elapsed": time.Since(start).String(),
-		"results": results,
-	})
 }
 
 // SnapshotHandler serves a partitioned snapshot directory for replica

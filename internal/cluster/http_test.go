@@ -147,7 +147,7 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 
 	// The /query surface must match topk-serve's, byte-identically.
 	queries := spec.WireQueries(testNQ, testSeed+6)
-	want := mustJSON(t, renderRef(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0)))
+	want := mustJSON(t, cluster.Render(ref.QueryBatchCtx(topk.QueryCtx{}, decodeAll(t, ref, queries), testK, 0)))
 	body, _ := json.Marshal(map[string]any{"queries": queries, "k": testK})
 	qresp, err := http.Post(coord.URL+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -84,13 +84,9 @@ func (n *Node) QueryShard(_ context.Context, req ShardRequest) (ShardResponse, e
 	if req.K < 1 {
 		return ShardResponse{}, fmt.Errorf("need k >= 1, got %d", req.K)
 	}
-	qs := make([]any, len(req.Queries))
-	for i, raw := range req.Queries {
-		q, err := sv.DecodeQuery(raw)
-		if err != nil {
-			return ShardResponse{}, fmt.Errorf("query %d: %w", i, err)
-		}
-		qs[i] = q
+	qs, err := decodeQueries(sv, req.Queries)
+	if err != nil {
+		return ShardResponse{}, err
 	}
 	ctx := topk.QueryCtx{IOBudget: req.BudgetIOs, DegradeToMax: req.Degrade}
 	switch {
@@ -104,22 +100,7 @@ func (n *Node) QueryShard(_ context.Context, req ShardRequest) (ShardResponse, e
 	res := sv.QueryBatchCtx(ctx, qs, req.K, 0)
 	n.requests.Inc()
 	n.queries.Add(int64(len(qs)))
-	out := ShardResponse{Results: make([]ShardResult, len(res))}
-	for i, r := range res {
-		sr := ShardResult{
-			Items: make([]WireItem, 0, len(r.Items)),
-			Reads: r.Stats.Reads, Writes: r.Stats.Writes, Hits: r.Stats.Hits, IOs: r.Stats.IOs(),
-			Outcome: r.Outcome.String(),
-		}
-		if r.Err != nil {
-			sr.Error = r.Err.Error()
-		}
-		for _, it := range r.Items {
-			sr.Items = append(sr.Items, WireItem{Weight: it.Weight, Label: it.Label})
-		}
-		out.Results[i] = sr
-	}
-	return out, nil
+	return ShardResponse{Results: Render(res)}, nil
 }
 
 // Handler returns the node's HTTP surface:

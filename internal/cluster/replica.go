@@ -9,11 +9,12 @@
 // process boundary:
 //
 //  1. Partition exactness (Lemma 2): every shard is the same engine a
-//     single-process Sharded index would hold, restored from the same
-//     per-shard snapshot file, so the coordinator's k-way merge of
-//     per-shard top-k core-sets is byte-identical to the one-process
-//     answer — the conformance suite asserts this for every registered
-//     problem.
+//     single-process sharded index would hold, restored from the same
+//     per-shard snapshot file, and the coordinator merges per-shard
+//     answers with the very function the in-process index uses
+//     (topk.MergeShardResults), so the answer is byte-identical to the
+//     one-process answer — the conformance suite asserts this for every
+//     registered problem.
 //  2. Replica interchangeability: replicas of a shard restore from the
 //     same snapshot file, so any of them produces the same determinstic
 //     answer and stats — which is what makes hedged reads safe: racing
@@ -33,6 +34,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"topk"
 )
 
 // ShardRequest is one shard's slice of a coordinator query batch, in
@@ -52,24 +55,17 @@ type ShardRequest struct {
 	Degrade bool `json:"degrade,omitempty"`
 }
 
-// WireItem is one answer item in the /query wire shape.
-type WireItem struct {
-	Weight float64 `json:"weight"`
-	Label  string  `json:"label,omitempty"`
-}
-
-// ShardResult is one query's answer from one shard — and, summed across
-// shards by the coordinator, one query's slice of the client response.
-// The field set and order match topk-serve's /query results exactly, so
-// a coordinator is a drop-in target for existing clients and loadgen.
+// ShardResult is one query's answer in the /query wire shape: from one
+// shard on the node protocol, and merged across shards in every /query
+// response, topk-serve's and the coordinator's alike (see Render).
 type ShardResult struct {
-	Items   []WireItem `json:"items"`
-	Reads   int64      `json:"reads"`
-	Writes  int64      `json:"writes"`
-	Hits    int64      `json:"hits"`
-	IOs     int64      `json:"ios"`
-	Outcome string     `json:"outcome"`
-	Error   string     `json:"error,omitempty"`
+	Items   []topk.ServedItem `json:"items"`
+	Reads   int64             `json:"reads"`
+	Writes  int64             `json:"writes"`
+	Hits    int64             `json:"hits"`
+	IOs     int64             `json:"ios"`
+	Outcome string            `json:"outcome"`
+	Error   string            `json:"error,omitempty"`
 }
 
 // ShardResponse is a replica's answer to a ShardRequest: one

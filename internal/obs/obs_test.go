@@ -238,6 +238,46 @@ func TestSlowQueryLogConcurrentRecords(t *testing.T) {
 	}
 }
 
+// panicOnceWriter panics on its first Write and accepts every later one.
+type panicOnceWriter struct{ calls int }
+
+func (p *panicOnceWriter) Write(b []byte) (int, error) {
+	p.calls++
+	if p.calls == 1 {
+		panic("writer failed")
+	}
+	return len(b), nil
+}
+
+// TestSlowQueryLogSurvivesPanickingWriter: a writer that panics must not
+// leave the log's lock held. If it did, every later slow query on the
+// index would block inside Record for good.
+func TestSlowQueryLogSurvivesPanickingWriter(t *testing.T) {
+	w := &panicOnceWriter{}
+	l := NewSlowQueryLog(w, 1, 4)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the writer's panic did not reach the caller")
+			}
+		}()
+		l.Record("iv", "q1", time.Millisecond, em.Stats{Reads: 2}, nil, SlowMeta{})
+	}()
+	done := make(chan struct{})
+	go func() {
+		l.Record("iv", "q2", time.Millisecond, em.Stats{Reads: 2}, nil, SlowMeta{})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Record blocked after a writer panic: the log's lock was left held")
+	}
+	if got := l.Total(); got != 2 {
+		t.Fatalf("Total = %d, want 2", got)
+	}
+}
+
 func TestMetricsConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	qm := NewQueryMetrics(r, "iv")

@@ -55,7 +55,8 @@ type SlowMeta struct {
 // the query (already formatted by the caller, so the hot path never
 // pays for formatting unless the threshold fired). Concurrent calls are
 // safe and write whole entries to w one at a time, so w need not be safe
-// for concurrent use.
+// for concurrent use. A panic in w leaves the log usable: the lock is
+// released on the way out.
 func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats, events []em.TraceEvent, meta SlowMeta) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "slow query index=%s ios=%d reads=%d writes=%d hits=%d latency=%s",
@@ -75,6 +76,7 @@ func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats,
 	entry := b.String()
 
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.total++
 	if len(l.ring) < cap(l.ring) {
 		l.ring = append(l.ring, entry)
@@ -85,7 +87,6 @@ func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats,
 	if l.w != nil {
 		io.WriteString(l.w, entry)
 	}
-	l.mu.Unlock()
 }
 
 // Recent returns the retained entries, oldest first.

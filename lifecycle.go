@@ -84,8 +84,8 @@ func (o Outcome) String() string {
 
 // ParseOutcome maps an Outcome's String() form back to the value. The
 // cluster tier ships outcomes between processes as their wire strings,
-// and the coordinator needs the typed value back to apply the same
-// per-query merge rules as a single-process Sharded index.
+// and the coordinator needs the typed value back to merge them with
+// MergeShardResults, as a single-process sharded index does.
 func ParseOutcome(s string) (Outcome, bool) {
 	for o := OutcomeOK; o <= OutcomeUnavailable; o++ {
 		if o.String() == s {
@@ -103,7 +103,7 @@ func (o Outcome) aborted() bool { return o != OutcomeOK }
 // imposes no limits and adds no overhead: QueryBatchCtx with a zero
 // QueryCtx is QueryBatch.
 //
-// Under a Sharded index the deadline is global (one wall clock) while
+// Under a sharded index the deadline is global (one wall clock) while
 // the I/O budget applies per shard: shards execute independently against
 // disjoint data, and per-shard enforcement is what admission control can
 // derive from the per-shard cost series the metrics registry already

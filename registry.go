@@ -32,10 +32,11 @@ import (
 
 // ServedItem is one query answer in type-erased form: the item's weight
 // (its unique identity across the index) plus a short human rendering of
-// its geometry.
+// its geometry. Its JSON form is the item shape of every /query
+// response, from topk-serve and from the cluster coordinator alike.
 type ServedItem struct {
-	Weight float64
-	Label  string
+	Weight float64 `json:"weight"`
+	Label  string  `json:"label,omitempty"`
 }
 
 // Served is a type-erased view of one built index, sufficient to drive
@@ -143,7 +144,7 @@ type ProblemSpec struct {
 	Build func(n int, seed uint64, opts ...Option) (Served, error)
 	// BuildSharded constructs the index over the same workload as Build,
 	// partitioned across the given number of shards (fan-out/merge
-	// serving; see Sharded). BuildSharded(n, 1, seed) serves the same
+	// serving; see shard.go). BuildSharded(n, 1, seed) serves the same
 	// items as Build(n, seed) behind a one-shard partition.
 	BuildSharded func(n, shards int, seed uint64, opts ...Option) (Served, error)
 	// BuildInvalid attempts construction over a small workload containing
@@ -206,7 +207,7 @@ func ProblemNames() []string {
 }
 
 // servedEngine is the uniform index surface the served adapter drives —
-// satisfied by both a single engine and a Sharded partition of engines,
+// satisfied by both a single engine and a sharded partition of engines,
 // which is what lets every registry consumer (serving, benchmarks,
 // conformance) run shard-aware with no per-problem code.
 type servedEngine[Q, It any] interface {
@@ -215,7 +216,6 @@ type servedEngine[Q, It any] interface {
 	Max(q Q) (It, bool)
 	ReportAbove(q Q, tau float64, visit func(It) bool)
 	Items() []It
-	QueryBatch(qs []Q, k int, parallelism int) []BatchResult[It]
 	QueryBatchCtx(ctx QueryCtx, qs []Q, k int, parallelism int) []BatchResult[It]
 	Insert(it It) error
 	InsertBatch(items []It) error
@@ -230,11 +230,12 @@ type servedEngine[Q, It any] interface {
 
 func (e *engine[Q, V, It]) hasWeight(w float64) bool { _, ok := e.data[w]; return ok }
 
-func (s *Sharded[Q, V, It]) hasWeight(w float64) bool { _, ok := s.owner[w]; return ok }
+func (s *sharded[Q, V, It]) hasWeight(w float64) bool { _, ok := s.owner[w]; return ok }
 
-// served adapts one engine — or one Sharded group of engines — to the
+// served adapts one engine — or one sharded group of engines — to the
 // type-erased Served interface. The problem-specific residue is the
-// problem descriptor, four closures, and a canonical invalid item.
+// problem descriptor, a query generator, two decoders, a label, a
+// fresh-item maker, and a canonical invalid item.
 type served[Q, V, It any] struct {
 	p       problem[Q, V, It]
 	eng     servedEngine[Q, It]
@@ -480,16 +481,80 @@ func decodePointN(raw json.RawMessage) (PointItemN[int], error) {
 	return PointItemN[int]{Coords: body.Coords, Weight: w}, nil
 }
 
-// genPointsN is the shared PointItemN workload for the ortho, circular,
-// and halfspace entries.
-func genPointsN(n, d int, seed uint64) []PointItemN[int] {
-	g := wrand.New(seed)
-	ws := g.UniqueFloats(n, 1e6)
-	items := make([]PointItemN[int], n)
-	for i := range items {
-		items[i] = PointItemN[int]{Coords: genCoords(g, d), Weight: ws[i], Data: i}
+// pointsN returns the shared PointItemN workload in dimension d for the
+// ortho, circular, and halfspace entries.
+func pointsN(d int) func(n int, seed uint64) []PointItemN[int] {
+	return func(n int, seed uint64) []PointItemN[int] {
+		g := wrand.New(seed)
+		ws := g.UniqueFloats(n, 1e6)
+		items := make([]PointItemN[int], n)
+		for i := range items {
+			items[i] = PointItemN[int]{Coords: genCoords(g, d), Weight: ws[i], Data: i}
+		}
+		return items
 	}
-	return items
+}
+
+// newSpec completes one registry entry from what is specific to its
+// problem: the descriptor p, the deterministic n-item workload items,
+// and the served template tmpl (query generator, codecs, label,
+// fresh-item maker and canonical invalid item). doc carries the
+// documentation fields (QueryShape, ItemShape, WireQueries). Name, Dim
+// and NativeDynamic come from the descriptor, and every constructor —
+// Build through BuildInvalid — is written here once for all problems.
+func newSpec[Q, V, It any](p problem[Q, V, It], items func(n int, seed uint64) []It, tmpl served[Q, V, It], doc ProblemSpec) ProblemSpec {
+	adapt := func(eng servedEngine[Q, It], nshards int) Served {
+		sv := tmpl
+		sv.p, sv.eng, sv.nshards = p, eng, nshards
+		return &sv
+	}
+	// mk hands the restore path the descriptor, after checking that a
+	// dimension-parameterized snapshot has the dimension the registry
+	// serves.
+	mk := func(h snap.Header) (problem[Q, V, It], error) {
+		if p.dim > 0 && int(h.Dim) != p.dim {
+			return problem[Q, V, It]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves %s in dimension %d", h.Dim, p.name, p.dim)
+		}
+		return p, nil
+	}
+	s := doc
+	s.Name, s.Dim, s.NativeDynamic = p.name, p.dim, p.dynPri != nil
+	s.Build = func(n int, seed uint64, opts ...Option) (Served, error) {
+		eng, err := newEngine(p, items(n, seed), opts)
+		if err != nil {
+			return nil, err
+		}
+		return adapt(eng, 1), nil
+	}
+	s.BuildSharded = func(n, shards int, seed uint64, opts ...Option) (Served, error) {
+		sh, err := newSharded(p, items(n, seed), shards, opts)
+		if err != nil {
+			return nil, err
+		}
+		return adapt(sh, shards), nil
+	}
+	s.Restore = func(dir string, opts ...Option) (Served, error) {
+		eng, nsh, err := restoreServedEngine(mk, dir, opts)
+		if err != nil {
+			return nil, err
+		}
+		return adapt(eng, nsh), nil
+	}
+	s.RestoreShard = func(dir string, shard int, opts ...Option) (Served, error) {
+		eng, err := restoreShardEngine(mk, dir, shard, opts)
+		if err != nil {
+			return nil, err
+		}
+		return adapt(eng, 1), nil
+	}
+	s.Reshard = func(srcDir, dstDir string, shards int) error {
+		return reshardSnapshot(mk, srcDir, dstDir, shards)
+	}
+	s.BuildInvalid = func(opts ...Option) error {
+		_, err := newEngine(p, append(items(4, 1), tmpl.invalid), opts)
+		return err
+	}
+	return s
 }
 
 var problemRegistry = []ProblemSpec{
@@ -504,7 +569,7 @@ var problemRegistry = []ProblemSpec{
 }
 
 func intervalSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []IntervalItem[int] {
+	items := func(n int, seed uint64) []IntervalItem[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]IntervalItem[int], n)
@@ -516,91 +581,45 @@ func intervalSpec() ProblemSpec {
 	}
 	genQ := func(g *wrand.RNG) float64 { return g.Float64() * coordScale }
 	const itemShape = `{"lo": x1, "hi": x2, "weight": w}`
-	adapt := func(eng servedEngine[float64, IntervalItem[int]], nshards int) Served {
-		return &served[float64, interval.Interval, IntervalItem[int]]{
-			p: intervalProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (float64, error) {
-				var x float64
-				if err := json.Unmarshal(raw, &x); err != nil {
-					return 0, fmt.Errorf("want a stabbing point (number): %w", err)
-				}
-				return x, nil
-			},
-			decItem: func(raw json.RawMessage) (IntervalItem[int], error) {
-				var body struct {
-					Lo     float64  `json:"lo"`
-					Hi     float64  `json:"hi"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return IntervalItem[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return IntervalItem[int]{}, err
-				}
-				return IntervalItem[int]{Lo: body.Lo, Hi: body.Hi, Weight: w}, nil
-			},
-			label: func(it IntervalItem[int]) string { return fmt.Sprintf("[%.3f, %.3f]", it.Lo, it.Hi) },
-			fresh: func(g *wrand.RNG, w float64) IntervalItem[int] {
-				lo := g.Float64() * coordScale
-				return IntervalItem[int]{Lo: lo, Hi: lo + 1, Weight: w}
-			},
-			invalid: IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[float64, interval.Interval, IntervalItem[int]], error) {
-		return intervalProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:          "interval",
-		QueryShape:    "number (stabbing point x)",
-		ItemShape:     itemShape,
-		WireQueries:   wireQueries(genQ, func(x float64) any { return x }),
-		NativeDynamic: true,
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewIntervalIndex(mk(n, seed), opts...)
-			if err != nil {
-				return nil, err
+	return newSpec(intervalProblem[int](), items, served[float64, interval.Interval, IntervalItem[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (float64, error) {
+			var x float64
+			if err := json.Unmarshal(raw, &x); err != nil {
+				return 0, fmt.Errorf("want a stabbing point (number): %w", err)
 			}
-			return adapt(ix.eng, 1), nil
+			return x, nil
 		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedIntervalIndex(mk(n, seed), shards, opts...)
-			if err != nil {
-				return nil, err
+		decItem: func(raw json.RawMessage) (IntervalItem[int], error) {
+			var body struct {
+				Lo     float64  `json:"lo"`
+				Hi     float64  `json:"hi"`
+				Weight *float64 `json:"weight"`
 			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return IntervalItem[int]{}, err
 			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
+			w, err := itemWeight(body.Weight, itemShape)
 			if err != nil {
-				return nil, err
+				return IntervalItem[int]{}, err
 			}
-			return adapt(eng, 1), nil
+			return IntervalItem[int]{Lo: body.Lo, Hi: body.Hi, Weight: w}, nil
 		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
+		label: func(it IntervalItem[int]) string { return fmt.Sprintf("[%.3f, %.3f]", it.Lo, it.Hi) },
+		fresh: func(g *wrand.RNG, w float64) IntervalItem[int] {
+			lo := g.Float64() * coordScale
+			return IntervalItem[int]{Lo: lo, Hi: lo + 1, Weight: w}
 		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5})
-			_, err := NewIntervalIndex(items, opts...)
-			return err
-		},
-	}
+		invalid: IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5},
+	}, ProblemSpec{
+		QueryShape:  "number (stabbing point x)",
+		ItemShape:   itemShape,
+		WireQueries: wireQueries(genQ, func(x float64) any { return x }),
+	})
 }
 
 func rangeSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []PointItem1[int] {
+	items := func(n int, seed uint64) []PointItem1[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]PointItem1[int], n)
@@ -617,85 +636,39 @@ func rangeSpec() ProblemSpec {
 		return rangerep.Span{Lo: a, Hi: b}
 	}
 	const itemShape = `{"pos": x, "weight": w}`
-	adapt := func(eng servedEngine[rangerep.Span, PointItem1[int]], nshards int) Served {
-		return &served[rangerep.Span, float64, PointItem1[int]]{
-			p: rangeProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (rangerep.Span, error) {
-				xs, err := decodeFloats(raw, 2, "[lo, hi]")
-				if err != nil {
-					return rangerep.Span{}, err
-				}
-				return rangerep.Span{Lo: xs[0], Hi: xs[1]}, nil
-			},
-			decItem: func(raw json.RawMessage) (PointItem1[int], error) {
-				var body struct {
-					Pos    float64  `json:"pos"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return PointItem1[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return PointItem1[int]{}, err
-				}
-				return PointItem1[int]{Pos: body.Pos, Weight: w}, nil
-			},
-			label: func(it PointItem1[int]) string { return fmt.Sprintf("%.3f", it.Pos) },
-			fresh: func(g *wrand.RNG, w float64) PointItem1[int] {
-				return PointItem1[int]{Pos: g.Float64() * coordScale, Weight: w}
-			},
-			invalid: PointItem1[int]{Pos: math.NaN(), Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[rangerep.Span, float64, PointItem1[int]], error) {
-		return rangeProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:          "range",
-		QueryShape:    "[lo, hi]",
-		ItemShape:     itemShape,
-		WireQueries:   wireQueries(genQ, func(q rangerep.Span) any { return [2]float64{q.Lo, q.Hi} }),
-		NativeDynamic: true,
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewRangeIndex(mk(n, seed), opts...)
+	return newSpec(rangeProblem[int](), items, served[rangerep.Span, float64, PointItem1[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (rangerep.Span, error) {
+			xs, err := decodeFloats(raw, 2, "[lo, hi]")
 			if err != nil {
-				return nil, err
+				return rangerep.Span{}, err
 			}
-			return adapt(ix.eng, 1), nil
+			return rangerep.Span{Lo: xs[0], Hi: xs[1]}, nil
 		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedRangeIndex(mk(n, seed), shards, opts...)
+		decItem: func(raw json.RawMessage) (PointItem1[int], error) {
+			var body struct {
+				Pos    float64  `json:"pos"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return PointItem1[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
 			if err != nil {
-				return nil, err
+				return PointItem1[int]{}, err
 			}
-			return adapt(ix.Sharded, shards), nil
+			return PointItem1[int]{Pos: body.Pos, Weight: w}, nil
 		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
+		label: func(it PointItem1[int]) string { return fmt.Sprintf("%.3f", it.Pos) },
+		fresh: func(g *wrand.RNG, w float64) PointItem1[int] {
+			return PointItem1[int]{Pos: g.Float64() * coordScale, Weight: w}
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, PointItem1[int]{Pos: math.NaN(), Weight: 0.5})
-			_, err := NewRangeIndex(items, opts...)
-			return err
-		},
-	}
+		invalid: PointItem1[int]{Pos: math.NaN(), Weight: 0.5},
+	}, ProblemSpec{
+		QueryShape:  "[lo, hi]",
+		ItemShape:   itemShape,
+		WireQueries: wireQueries(genQ, func(q rangerep.Span) any { return [2]float64{q.Lo, q.Hi} }),
+	})
 }
 
 func orthoSpec() ProblemSpec {
@@ -712,83 +685,34 @@ func orthoSpec() ProblemSpec {
 		q, _ := orthorange.NewBox(lo, hi)
 		return q
 	}
-	adapt := func(eng servedEngine[orthorange.Box, PointItemN[int]], nshards int) Served {
-		return &served[orthorange.Box, halfspace.PtN, PointItemN[int]]{
-			p: orthoProblem[int](d), eng: eng, nshards: nshards,
-			gen:     genQ,
-			decItem: decodePointN,
-			decode: func(raw json.RawMessage) (orthorange.Box, error) {
-				var body struct {
-					Lo []float64 `json:"lo"`
-					Hi []float64 `json:"hi"`
-				}
-				if err := json.Unmarshal(raw, &body); err != nil {
-					return orthorange.Box{}, fmt.Errorf(`want {"lo": [...], "hi": [...]}: %w`, err)
-				}
-				if len(body.Lo) != d || len(body.Hi) != d {
-					return orthorange.Box{}, fmt.Errorf("want %d-dimensional lo and hi", d)
-				}
-				return orthorange.NewBox(body.Lo, body.Hi)
-			},
-			label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
-			fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
-				return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
-			},
-			invalid: PointItemN[int]{Coords: []float64{1, math.NaN()}, Weight: 0.5},
-		}
-	}
-	mkProblem := func(h snap.Header) (problem[orthorange.Box, halfspace.PtN, PointItemN[int]], error) {
-		if int(h.Dim) != d {
-			return problem[orthorange.Box, halfspace.PtN, PointItemN[int]]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves ortho in dimension %d", h.Dim, d)
-		}
-		return orthoProblem[int](d), nil
-	}
-	return ProblemSpec{
-		Name:       "ortho",
-		Dim:        d,
+	return newSpec(orthoProblem[int](d), pointsN(d), served[orthorange.Box, halfspace.PtN, PointItemN[int]]{
+		gen:     genQ,
+		decItem: decodePointN,
+		decode: func(raw json.RawMessage) (orthorange.Box, error) {
+			var body struct {
+				Lo []float64 `json:"lo"`
+				Hi []float64 `json:"hi"`
+			}
+			if err := json.Unmarshal(raw, &body); err != nil {
+				return orthorange.Box{}, fmt.Errorf(`want {"lo": [...], "hi": [...]}: %w`, err)
+			}
+			if len(body.Lo) != d || len(body.Hi) != d {
+				return orthorange.Box{}, fmt.Errorf("want %d-dimensional lo and hi", d)
+			}
+			return orthorange.NewBox(body.Lo, body.Hi)
+		},
+		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
+			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
+		},
+		invalid: PointItemN[int]{Coords: []float64{1, math.NaN()}, Weight: 0.5},
+	}, ProblemSpec{
 		QueryShape: `{"lo": [x1, x2], "hi": [x1, x2]}`,
 		ItemShape:  pointNItemShape,
 		WireQueries: wireQueries(genQ, func(q orthorange.Box) any {
 			return map[string]any{"lo": q.Lo, "hi": q.Hi}
 		}),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewOrthoIndex(genPointsN(n, d, seed), d, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedOrthoIndex(genPointsN(n, d, seed), d, shards, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := genPointsN(4, d, 1)
-			items = append(items, PointItemN[int]{Coords: []float64{1, math.NaN()}, Weight: 0.5})
-			_, err := NewOrthoIndex(items, d, opts...)
-			return err
-		},
-	}
+	})
 }
 
 func circularSpec() ProblemSpec {
@@ -796,87 +720,38 @@ func circularSpec() ProblemSpec {
 	genQ := func(g *wrand.RNG) circular.Ball {
 		return circular.Ball{Center: genCoords(g, d), R: 5 + g.ExpFloat64()*10}
 	}
-	adapt := func(eng servedEngine[circular.Ball, PointItemN[int]], nshards int) Served {
-		return &served[circular.Ball, halfspace.PtN, PointItemN[int]]{
-			p: circularProblem[int](d), eng: eng, nshards: nshards,
-			gen:     genQ,
-			decItem: decodePointN,
-			decode: func(raw json.RawMessage) (circular.Ball, error) {
-				var body struct {
-					Center []float64 `json:"center"`
-					Radius float64   `json:"radius"`
-				}
-				if err := json.Unmarshal(raw, &body); err != nil {
-					return circular.Ball{}, fmt.Errorf(`want {"center": [...], "radius": r}: %w`, err)
-				}
-				if len(body.Center) != d {
-					return circular.Ball{}, fmt.Errorf("want a %d-dimensional center", d)
-				}
-				return circular.Ball{Center: body.Center, R: body.Radius}, nil
-			},
-			label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
-			fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
-				return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
-			},
-			invalid: PointItemN[int]{Coords: []float64{math.NaN(), 1}, Weight: 0.5},
-		}
-	}
-	mkProblem := func(h snap.Header) (problem[circular.Ball, halfspace.PtN, PointItemN[int]], error) {
-		if int(h.Dim) != d {
-			return problem[circular.Ball, halfspace.PtN, PointItemN[int]]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves circular in dimension %d", h.Dim, d)
-		}
-		return circularProblem[int](d), nil
-	}
-	return ProblemSpec{
-		Name:       "circular",
-		Dim:        d,
+	return newSpec(circularProblem[int](d), pointsN(d), served[circular.Ball, halfspace.PtN, PointItemN[int]]{
+		gen:     genQ,
+		decItem: decodePointN,
+		decode: func(raw json.RawMessage) (circular.Ball, error) {
+			var body struct {
+				Center []float64 `json:"center"`
+				Radius float64   `json:"radius"`
+			}
+			if err := json.Unmarshal(raw, &body); err != nil {
+				return circular.Ball{}, fmt.Errorf(`want {"center": [...], "radius": r}: %w`, err)
+			}
+			if len(body.Center) != d {
+				return circular.Ball{}, fmt.Errorf("want a %d-dimensional center", d)
+			}
+			return circular.Ball{Center: body.Center, R: body.Radius}, nil
+		},
+		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
+			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
+		},
+		invalid: PointItemN[int]{Coords: []float64{math.NaN(), 1}, Weight: 0.5},
+	}, ProblemSpec{
 		QueryShape: `{"center": [x, y], "radius": r}`,
 		ItemShape:  pointNItemShape,
 		WireQueries: wireQueries(genQ, func(q circular.Ball) any {
 			return map[string]any{"center": q.Center, "radius": q.R}
 		}),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewCircularIndex(genPointsN(n, d, seed), d, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedCircularIndex(genPointsN(n, d, seed), d, shards, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := genPointsN(4, d, 1)
-			items = append(items, PointItemN[int]{Coords: []float64{math.NaN(), 1}, Weight: 0.5})
-			_, err := NewCircularIndex(items, d, opts...)
-			return err
-		},
-	}
+	})
 }
 
 func dominanceSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []DominanceItem[int] {
+	items := func(n int, seed uint64) []DominanceItem[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]DominanceItem[int], n)
@@ -892,92 +767,47 @@ func dominanceSpec() ProblemSpec {
 		return dominance.Pt3{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale}
 	}
 	const itemShape = `{"x": x, "y": y, "z": z, "weight": w}`
-	adapt := func(eng servedEngine[dominance.Pt3, DominanceItem[int]], nshards int) Served {
-		return &served[dominance.Pt3, dominance.Pt3, DominanceItem[int]]{
-			p: dominanceProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (dominance.Pt3, error) {
-				xs, err := decodeFloats(raw, 3, "[x, y, z]")
-				if err != nil {
-					return dominance.Pt3{}, err
-				}
-				return dominance.Pt3{X: xs[0], Y: xs[1], Z: xs[2]}, nil
-			},
-			decItem: func(raw json.RawMessage) (DominanceItem[int], error) {
-				var body struct {
-					X      float64  `json:"x"`
-					Y      float64  `json:"y"`
-					Z      float64  `json:"z"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return DominanceItem[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return DominanceItem[int]{}, err
-				}
-				return DominanceItem[int]{X: body.X, Y: body.Y, Z: body.Z, Weight: w}, nil
-			},
-			label: func(it DominanceItem[int]) string {
-				return fmt.Sprintf("(%.3f, %.3f, %.3f)", it.X, it.Y, it.Z)
-			},
-			fresh: func(g *wrand.RNG, w float64) DominanceItem[int] {
-				return DominanceItem[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale, Weight: w}
-			},
-			invalid: DominanceItem[int]{X: math.NaN(), Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[dominance.Pt3, dominance.Pt3, DominanceItem[int]], error) {
-		return dominanceProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:        "dominance",
+	return newSpec(dominanceProblem[int](), items, served[dominance.Pt3, dominance.Pt3, DominanceItem[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (dominance.Pt3, error) {
+			xs, err := decodeFloats(raw, 3, "[x, y, z]")
+			if err != nil {
+				return dominance.Pt3{}, err
+			}
+			return dominance.Pt3{X: xs[0], Y: xs[1], Z: xs[2]}, nil
+		},
+		decItem: func(raw json.RawMessage) (DominanceItem[int], error) {
+			var body struct {
+				X      float64  `json:"x"`
+				Y      float64  `json:"y"`
+				Z      float64  `json:"z"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return DominanceItem[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
+			if err != nil {
+				return DominanceItem[int]{}, err
+			}
+			return DominanceItem[int]{X: body.X, Y: body.Y, Z: body.Z, Weight: w}, nil
+		},
+		label: func(it DominanceItem[int]) string {
+			return fmt.Sprintf("(%.3f, %.3f, %.3f)", it.X, it.Y, it.Z)
+		},
+		fresh: func(g *wrand.RNG, w float64) DominanceItem[int] {
+			return DominanceItem[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale, Weight: w}
+		},
+		invalid: DominanceItem[int]{X: math.NaN(), Weight: 0.5},
+	}, ProblemSpec{
 		QueryShape:  "[x, y, z] (dominance corner)",
 		ItemShape:   itemShape,
 		WireQueries: wireQueries(genQ, func(q dominance.Pt3) any { return [3]float64{q.X, q.Y, q.Z} }),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewDominanceIndex(mk(n, seed), opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedDominanceIndex(mk(n, seed), shards, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, DominanceItem[int]{X: math.NaN(), Weight: 0.5})
-			_, err := NewDominanceIndex(items, opts...)
-			return err
-		},
-	}
+	})
 }
 
 func enclosureSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []RectItem[int] {
+	items := func(n int, seed uint64) []RectItem[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]RectItem[int], n)
@@ -994,94 +824,49 @@ func enclosureSpec() ProblemSpec {
 		return enclosure.Pt2{X: g.Float64() * coordScale, Y: g.Float64() * coordScale}
 	}
 	const itemShape = `{"x1": x1, "x2": x2, "y1": y1, "y2": y2, "weight": w}`
-	adapt := func(eng servedEngine[enclosure.Pt2, RectItem[int]], nshards int) Served {
-		return &served[enclosure.Pt2, enclosure.Rect, RectItem[int]]{
-			p: enclosureProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (enclosure.Pt2, error) {
-				xs, err := decodeFloats(raw, 2, "[x, y]")
-				if err != nil {
-					return enclosure.Pt2{}, err
-				}
-				return enclosure.Pt2{X: xs[0], Y: xs[1]}, nil
-			},
-			decItem: func(raw json.RawMessage) (RectItem[int], error) {
-				var body struct {
-					X1     float64  `json:"x1"`
-					X2     float64  `json:"x2"`
-					Y1     float64  `json:"y1"`
-					Y2     float64  `json:"y2"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return RectItem[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return RectItem[int]{}, err
-				}
-				return RectItem[int]{X1: body.X1, X2: body.X2, Y1: body.Y1, Y2: body.Y2, Weight: w}, nil
-			},
-			label: func(it RectItem[int]) string {
-				return fmt.Sprintf("[%.3f, %.3f]×[%.3f, %.3f]", it.X1, it.X2, it.Y1, it.Y2)
-			},
-			fresh: func(g *wrand.RNG, w float64) RectItem[int] {
-				x, y := g.Float64()*coordScale, g.Float64()*coordScale
-				return RectItem[int]{X1: x, X2: x + 1, Y1: y, Y2: y + 1, Weight: w}
-			},
-			invalid: RectItem[int]{X1: 2, X2: 1, Y1: 0, Y2: 1, Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[enclosure.Pt2, enclosure.Rect, RectItem[int]], error) {
-		return enclosureProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:        "enclosure",
+	return newSpec(enclosureProblem[int](), items, served[enclosure.Pt2, enclosure.Rect, RectItem[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (enclosure.Pt2, error) {
+			xs, err := decodeFloats(raw, 2, "[x, y]")
+			if err != nil {
+				return enclosure.Pt2{}, err
+			}
+			return enclosure.Pt2{X: xs[0], Y: xs[1]}, nil
+		},
+		decItem: func(raw json.RawMessage) (RectItem[int], error) {
+			var body struct {
+				X1     float64  `json:"x1"`
+				X2     float64  `json:"x2"`
+				Y1     float64  `json:"y1"`
+				Y2     float64  `json:"y2"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return RectItem[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
+			if err != nil {
+				return RectItem[int]{}, err
+			}
+			return RectItem[int]{X1: body.X1, X2: body.X2, Y1: body.Y1, Y2: body.Y2, Weight: w}, nil
+		},
+		label: func(it RectItem[int]) string {
+			return fmt.Sprintf("[%.3f, %.3f]×[%.3f, %.3f]", it.X1, it.X2, it.Y1, it.Y2)
+		},
+		fresh: func(g *wrand.RNG, w float64) RectItem[int] {
+			x, y := g.Float64()*coordScale, g.Float64()*coordScale
+			return RectItem[int]{X1: x, X2: x + 1, Y1: y, Y2: y + 1, Weight: w}
+		},
+		invalid: RectItem[int]{X1: 2, X2: 1, Y1: 0, Y2: 1, Weight: 0.5},
+	}, ProblemSpec{
 		QueryShape:  "[x, y] (query point)",
 		ItemShape:   itemShape,
 		WireQueries: wireQueries(genQ, func(q enclosure.Pt2) any { return [2]float64{q.X, q.Y} }),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewEnclosureIndex(mk(n, seed), opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedEnclosureIndex(mk(n, seed), shards, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, RectItem[int]{X1: 2, X2: 1, Y1: 0, Y2: 1, Weight: 0.5})
-			_, err := NewEnclosureIndex(items, opts...)
-			return err
-		},
-	}
+	})
 }
 
 func halfplaneSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []PointItem2[int] {
+	items := func(n int, seed uint64) []PointItem2[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]PointItem2[int], n)
@@ -1098,85 +883,40 @@ func halfplaneSpec() ProblemSpec {
 		return halfspace.Halfplane{A: a, B: b, C: a*px + b*py}
 	}
 	const itemShape = `{"x": x, "y": y, "weight": w}`
-	adapt := func(eng servedEngine[halfspace.Halfplane, PointItem2[int]], nshards int) Served {
-		return &served[halfspace.Halfplane, halfspace.Pt2, PointItem2[int]]{
-			p: halfplaneProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (halfspace.Halfplane, error) {
-				xs, err := decodeFloats(raw, 3, "[a, b, c] (halfplane a·x + b·y ≥ c)")
-				if err != nil {
-					return halfspace.Halfplane{}, err
-				}
-				return halfspace.Halfplane{A: xs[0], B: xs[1], C: xs[2]}, nil
-			},
-			decItem: func(raw json.RawMessage) (PointItem2[int], error) {
-				var body struct {
-					X      float64  `json:"x"`
-					Y      float64  `json:"y"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return PointItem2[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return PointItem2[int]{}, err
-				}
-				return PointItem2[int]{X: body.X, Y: body.Y, Weight: w}, nil
-			},
-			label: func(it PointItem2[int]) string { return fmt.Sprintf("(%.3f, %.3f)", it.X, it.Y) },
-			fresh: func(g *wrand.RNG, w float64) PointItem2[int] {
-				return PointItem2[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Weight: w}
-			},
-			invalid: PointItem2[int]{X: math.NaN(), Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[halfspace.Halfplane, halfspace.Pt2, PointItem2[int]], error) {
-		return halfplaneProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:        "halfplane",
+	return newSpec(halfplaneProblem[int](), items, served[halfspace.Halfplane, halfspace.Pt2, PointItem2[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (halfspace.Halfplane, error) {
+			xs, err := decodeFloats(raw, 3, "[a, b, c] (halfplane a·x + b·y ≥ c)")
+			if err != nil {
+				return halfspace.Halfplane{}, err
+			}
+			return halfspace.Halfplane{A: xs[0], B: xs[1], C: xs[2]}, nil
+		},
+		decItem: func(raw json.RawMessage) (PointItem2[int], error) {
+			var body struct {
+				X      float64  `json:"x"`
+				Y      float64  `json:"y"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return PointItem2[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
+			if err != nil {
+				return PointItem2[int]{}, err
+			}
+			return PointItem2[int]{X: body.X, Y: body.Y, Weight: w}, nil
+		},
+		label: func(it PointItem2[int]) string { return fmt.Sprintf("(%.3f, %.3f)", it.X, it.Y) },
+		fresh: func(g *wrand.RNG, w float64) PointItem2[int] {
+			return PointItem2[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Weight: w}
+		},
+		invalid: PointItem2[int]{X: math.NaN(), Weight: 0.5},
+	}, ProblemSpec{
 		QueryShape:  "[a, b, c] (halfplane a·x + b·y ≥ c)",
 		ItemShape:   itemShape,
 		WireQueries: wireQueries(genQ, func(q halfspace.Halfplane) any { return [3]float64{q.A, q.B, q.C} }),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewHalfplaneIndex(mk(n, seed), opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedHalfplaneIndex(mk(n, seed), shards, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, PointItem2[int]{X: math.NaN(), Weight: 0.5})
-			_, err := NewHalfplaneIndex(items, opts...)
-			return err
-		},
-	}
+	})
 }
 
 func halfspaceSpec() ProblemSpec {
@@ -1190,81 +930,32 @@ func halfspaceSpec() ProblemSpec {
 		}
 		return halfspace.Halfspace{A: a, C: c}
 	}
-	adapt := func(eng servedEngine[halfspace.Halfspace, PointItemN[int]], nshards int) Served {
-		return &served[halfspace.Halfspace, halfspace.PtN, PointItemN[int]]{
-			p: halfspaceProblem[int](d), eng: eng, nshards: nshards,
-			gen:     genQ,
-			decItem: decodePointN,
-			decode: func(raw json.RawMessage) (halfspace.Halfspace, error) {
-				var body struct {
-					A []float64 `json:"a"`
-					C float64   `json:"c"`
-				}
-				if err := json.Unmarshal(raw, &body); err != nil {
-					return halfspace.Halfspace{}, fmt.Errorf(`want {"a": [...], "c": c}: %w`, err)
-				}
-				if len(body.A) != d {
-					return halfspace.Halfspace{}, fmt.Errorf("want a %d-dimensional normal a", d)
-				}
-				return halfspace.Halfspace{A: body.A, C: body.C}, nil
-			},
-			label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
-			fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
-				return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
-			},
-			invalid: PointItemN[int]{Coords: []float64{1, 2}, Weight: 0.5}, // wrong dimension
-		}
-	}
-	mkProblem := func(h snap.Header) (problem[halfspace.Halfspace, halfspace.PtN, PointItemN[int]], error) {
-		if int(h.Dim) != d {
-			return problem[halfspace.Halfspace, halfspace.PtN, PointItemN[int]]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves halfspace in dimension %d", h.Dim, d)
-		}
-		return halfspaceProblem[int](d), nil
-	}
-	return ProblemSpec{
-		Name:       "halfspace",
-		Dim:        d,
+	return newSpec(halfspaceProblem[int](d), pointsN(d), served[halfspace.Halfspace, halfspace.PtN, PointItemN[int]]{
+		gen:     genQ,
+		decItem: decodePointN,
+		decode: func(raw json.RawMessage) (halfspace.Halfspace, error) {
+			var body struct {
+				A []float64 `json:"a"`
+				C float64   `json:"c"`
+			}
+			if err := json.Unmarshal(raw, &body); err != nil {
+				return halfspace.Halfspace{}, fmt.Errorf(`want {"a": [...], "c": c}: %w`, err)
+			}
+			if len(body.A) != d {
+				return halfspace.Halfspace{}, fmt.Errorf("want a %d-dimensional normal a", d)
+			}
+			return halfspace.Halfspace{A: body.A, C: body.C}, nil
+		},
+		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
+			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
+		},
+		invalid: PointItemN[int]{Coords: []float64{1, 2}, Weight: 0.5}, // wrong dimension
+	}, ProblemSpec{
 		QueryShape: `{"a": [a1, a2, a3], "c": c} (halfspace a·x ≥ c)`,
 		ItemShape:  pointNItemShape,
 		WireQueries: wireQueries(genQ, func(q halfspace.Halfspace) any {
 			return map[string]any{"a": q.A, "c": q.C}
 		}),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewHalfspaceIndex(genPointsN(n, d, seed), d, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedHalfspaceIndex(genPointsN(n, d, seed), d, shards, opts...)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := genPointsN(4, d, 1)
-			items = append(items, PointItemN[int]{Coords: []float64{1, 2}, Weight: 0.5})
-			_, err := NewHalfspaceIndex(items, d, opts...)
-			return err
-		},
-	}
+	})
 }

@@ -9,7 +9,7 @@ import (
 	"topk/internal/shard"
 )
 
-// This file is the sharding layer: a Sharded index partitions one
+// This file is the sharding layer: a sharded index partitions one
 // workload across S independent engines (each with its own EM tracker
 // and reduction-built structure), fans every query out to all shards in
 // parallel, and k-way-merges the per-shard answers by weight. The merge
@@ -21,12 +21,13 @@ import (
 // 2 path) composes per shard, and each shard's build, insert, and query
 // I/Os stay attributed to that shard's tracker.
 //
-// Like the single-engine facades, a typed wrapper per problem
-// (NewShardedIntervalIndex, …) supplies the query-shaped surface; the
-// generic core below is shared by all of them and by the registry's
-// shard-aware Served construction.
+// The registry is the only way in: ProblemSpec.BuildSharded, Restore and
+// LoadSnapshot put a sharded index behind the type-erased Served
+// surface. MergeShardResults, the per-query merge and its degradation
+// ladder, is exported because the cluster coordinator applies the very
+// same function to per-shard answers that arrive over the wire.
 
-// ShardPolicy selects how a Sharded index assigns items to shards.
+// ShardPolicy selects how a sharded index assigns items to shards.
 type ShardPolicy int
 
 const (
@@ -52,20 +53,18 @@ func (p ShardPolicy) String() string {
 	return fmt.Sprintf("ShardPolicy(%d)", int(p))
 }
 
-// Sharded is a horizontally partitioned top-k index: S independent
+// sharded is a horizontally partitioned top-k index: S independent
 // engines over disjoint subsets of the items, queried in parallel and
 // combined by the Lemma 2 merge. It exposes the same surface as a
-// single engine; per-query BatchResult stats are the sum of the query's
-// per-shard cold-cache costs and remain deterministic and
-// parallelism-invariant. The concurrency contract is unchanged: any
-// number of goroutines may query, but Insert and Delete require
-// exclusive access.
+// single engine (the registry's servedEngine); per-query BatchResult
+// stats are the sum of the query's per-shard cold-cache costs and remain
+// deterministic and parallelism-invariant. The concurrency contract is
+// unchanged: any number of goroutines may query, but Insert and Delete
+// require exclusive access.
 //
 // The type parameters mirror the engine's: Q is the query, V the core
-// value, It the exported item. Use the per-problem constructors
-// (NewShardedIntervalIndex, …), which fix the parameters and add the
-// problem-shaped query methods.
-type Sharded[Q, V, It any] struct {
+// value, It the exported item.
+type sharded[Q, V, It any] struct {
 	p      problem[Q, V, It]
 	opts   Options
 	shards []*engine[Q, V, It]
@@ -81,12 +80,12 @@ type Sharded[Q, V, It any] struct {
 // one engine per shard. All shards share one metrics registry (series
 // are distinguished by a shard label) but nothing else: trackers,
 // structures, and caches are fully independent.
-func newSharded[Q, V, It any](p problem[Q, V, It], items []It, shards int, opts []Option) (*Sharded[Q, V, It], error) {
+func newSharded[Q, V, It any](p problem[Q, V, It], items []It, shards int, opts []Option) (*sharded[Q, V, It], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("topk: need at least 1 shard, got %d", shards)
 	}
 	o := applyOptions(opts)
-	s := &Sharded[Q, V, It]{p: p, opts: o, owner: make(map[float64]int, len(items))}
+	s := &sharded[Q, V, It]{p: p, opts: o, owner: make(map[float64]int, len(items))}
 
 	ws := make([]float64, len(items))
 	for i, it := range items {
@@ -132,14 +131,8 @@ func withShardObs(reg *obs.Registry, label string) Option {
 	return func(o *Options) { o.obsReg = reg; o.shardLabel = label }
 }
 
-// Shards returns the shard count.
-func (s *Sharded[Q, V, It]) Shards() int { return len(s.shards) }
-
-// Policy returns the item-placement policy.
-func (s *Sharded[Q, V, It]) Policy() ShardPolicy { return s.opts.policy }
-
 // Len returns the number of live items across all shards.
-func (s *Sharded[Q, V, It]) Len() int {
+func (s *sharded[Q, V, It]) Len() int {
 	n := 0
 	for _, e := range s.shards {
 		n += e.Len()
@@ -149,7 +142,7 @@ func (s *Sharded[Q, V, It]) Len() int {
 
 // ShardLens returns the live item count of each shard — the partition's
 // balance, and the observable the routing tests pin down.
-func (s *Sharded[Q, V, It]) ShardLens() []int {
+func (s *sharded[Q, V, It]) ShardLens() []int {
 	out := make([]int, len(s.shards))
 	for i, e := range s.shards {
 		out[i] = e.Len()
@@ -161,7 +154,7 @@ func (s *Sharded[Q, V, It]) ShardLens() []int {
 // heaviest first: every shard answers TopK(q, k) in parallel (one
 // worker per shard on a bounded pool), and the per-shard top-k
 // core-sets merge by weight (Lemma 2).
-func (s *Sharded[Q, V, It]) TopK(q Q, k int) []It {
+func (s *sharded[Q, V, It]) TopK(q Q, k int) []It {
 	per := make([][]It, len(s.shards))
 	shard.FanOut(len(s.shards), 0, func(i int) { per[i] = s.shards[i].TopK(q, k) })
 	return shard.MergeDesc(per, k, s.p.weight)
@@ -169,7 +162,7 @@ func (s *Sharded[Q, V, It]) TopK(q Q, k int) []It {
 
 // Max returns the heaviest item satisfying q (a top-1 query over every
 // shard).
-func (s *Sharded[Q, V, It]) Max(q Q) (It, bool) {
+func (s *sharded[Q, V, It]) Max(q Q) (It, bool) {
 	type best struct {
 		it It
 		ok bool
@@ -191,7 +184,7 @@ func (s *Sharded[Q, V, It]) Max(q Q) (It, bool) {
 // ReportAbove streams every item satisfying q with weight ≥ tau, shard
 // by shard (order is unspecified, as on a single engine); return false
 // from visit to stop early.
-func (s *Sharded[Q, V, It]) ReportAbove(q Q, tau float64, visit func(It) bool) {
+func (s *sharded[Q, V, It]) ReportAbove(q Q, tau float64, visit func(It) bool) {
 	stopped := false
 	for _, e := range s.shards {
 		if stopped {
@@ -206,33 +199,18 @@ func (s *Sharded[Q, V, It]) ReportAbove(q Q, tau float64, visit func(It) bool) {
 	}
 }
 
-// QueryBatch answers one top-k query per element of qs: each shard runs
+// QueryBatchCtx answers one top-k query per element of qs under a
+// request-lifecycle contract (see engine.QueryBatchCtx): each shard runs
 // the whole batch on its own bounded pool of `parallelism` workers
 // (GOMAXPROCS when <= 0), the shards running concurrently, and each
-// query's per-shard answers merge positionally. A result's Stats are
-// the sum of that query's cold-cache costs on every shard — still a
-// deterministic function of the query alone, invariant in parallelism —
-// and its Trace concatenates the per-shard traces in shard order.
-// Batches must not run concurrently with Insert or Delete.
-func (s *Sharded[Q, V, It]) QueryBatch(qs []Q, k int, parallelism int) []BatchResult[It] {
-	return s.QueryBatchCtx(QueryCtx{}, qs, k, parallelism)
-}
-
-// QueryBatchCtx is QueryBatch under a request-lifecycle contract (see
-// engine.QueryBatchCtx). The deadline is global — one wall clock across
-// the fan-out — while the I/O budget is enforced per shard, since shards
-// query disjoint data on independent trackers. Per-query merge rules:
-//
-//   - every shard OK: the usual Lemma-2 merge, OutcomeOK;
-//   - any shard aborted with ctx.DegradeToMax: every aborted shard
-//     already fell back to its local top-1, so the merged list's head is
-//     the exact global maximum — the result is truncated to that correct
-//     top-1 prefix and marked OutcomeDegraded;
-//   - any shard aborted without the fallback: the merged answer could
-//     silently miss that shard's items, so Items is emptied and the
-//     worst per-shard Outcome/Err is reported instead — a typed refusal,
-//     never a wrong full answer.
-func (s *Sharded[Q, V, It]) QueryBatchCtx(ctx QueryCtx, qs []Q, k int, parallelism int) []BatchResult[It] {
+// query's per-shard answers combine through MergeShardResults. The
+// deadline is global — one wall clock across the fan-out — while the
+// I/O budget is enforced per shard, since shards query disjoint data on
+// independent trackers. A result's Stats are the sum of that query's
+// cold-cache costs on every shard — still a deterministic function of
+// the query alone, invariant in parallelism. Batches must not run
+// concurrently with Insert or Delete.
+func (s *sharded[Q, V, It]) QueryBatchCtx(ctx QueryCtx, qs []Q, k int, parallelism int) []BatchResult[It] {
 	if len(qs) == 0 {
 		return nil
 	}
@@ -241,34 +219,58 @@ func (s *Sharded[Q, V, It]) QueryBatchCtx(ctx QueryCtx, qs []Q, k int, paralleli
 		per[i] = s.shards[i].QueryBatchCtx(ctx, qs, k, parallelism)
 	})
 	out := make([]BatchResult[It], len(qs))
-	lists := make([][]It, len(s.shards))
+	col := make([]BatchResult[It], len(s.shards))
 	for qi := range qs {
-		r := &out[qi]
-		for si := range s.shards {
-			pr := per[si][qi]
-			lists[si] = pr.Items
-			r.Stats.Reads += pr.Stats.Reads
-			r.Stats.Writes += pr.Stats.Writes
-			r.Stats.Hits += pr.Stats.Hits
-			r.Trace = append(r.Trace, pr.Trace...)
-			if pr.Outcome.aborted() && pr.Outcome > r.Outcome {
-				r.Outcome = pr.Outcome
-			}
-			if r.Err == nil {
-				r.Err = pr.Err
-			}
+		for si := range per {
+			col[si] = per[si][qi]
 		}
-		r.Items = shard.MergeDesc(lists, k, s.p.weight)
-		switch {
-		case r.Outcome == OutcomeDegraded:
-			if len(r.Items) > 1 {
-				r.Items = r.Items[:1]
-			}
-		case r.Outcome.aborted():
-			r.Items = nil
-		}
+		out[qi] = MergeShardResults(col, k, s.p.weight)
 	}
 	return out
+}
+
+// MergeShardResults combines one query's per-shard results into its
+// global result. It is the single home of the Lemma 2 merge and its
+// degradation ladder: the in-process sharded index calls it on engine
+// results, and the cluster coordinator on results parsed off the wire.
+// Stats are summed, traces concatenated in shard order, the worst
+// aborted Outcome and the first non-nil Err kept, and the items
+// k-way-merged by weight. Then:
+//
+//   - every shard OK: the merge is the exact top-k, OutcomeOK;
+//   - some shard degraded: every aborted shard already fell back to its
+//     local top-1, so the merged head is the exact global maximum — the
+//     result keeps that correct top-1 prefix, OutcomeDegraded;
+//   - some shard aborted without the fallback: the merged answer could
+//     silently miss that shard's items, so Items is emptied and the
+//     worst per-shard Outcome and Err are reported — a typed refusal,
+//     never a wrong full answer.
+func MergeShardResults[It any](per []BatchResult[It], k int, weight func(It) float64) BatchResult[It] {
+	var r BatchResult[It]
+	lists := make([][]It, len(per))
+	for i, pr := range per {
+		lists[i] = pr.Items
+		r.Stats.Reads += pr.Stats.Reads
+		r.Stats.Writes += pr.Stats.Writes
+		r.Stats.Hits += pr.Stats.Hits
+		r.Trace = append(r.Trace, pr.Trace...)
+		if pr.Outcome.aborted() && pr.Outcome > r.Outcome {
+			r.Outcome = pr.Outcome
+		}
+		if r.Err == nil {
+			r.Err = pr.Err
+		}
+	}
+	r.Items = shard.MergeDesc(lists, k, weight)
+	switch {
+	case r.Outcome == OutcomeDegraded:
+		if len(r.Items) > 1 {
+			r.Items = r.Items[:1]
+		}
+	case r.Outcome.aborted():
+		r.Items = nil
+	}
+	return r
 }
 
 // admitInsert is the sharded validation gate shared by Insert and
@@ -277,7 +279,7 @@ func (s *Sharded[Q, V, It]) QueryBatchCtx(ctx QueryCtx, qs []Q, k int, paralleli
 // the owner map. Both paths report identical error strings — the
 // conformance suite pins this — so a caller cannot tell from an error
 // which ingest path rejected the item.
-func (s *Sharded[Q, V, It]) admitInsert(it It) (float64, error) {
+func (s *sharded[Q, V, It]) admitInsert(it It) (float64, error) {
 	if err := s.shards[0].validateItem(it); err != nil {
 		return 0, err
 	}
@@ -290,7 +292,7 @@ func (s *Sharded[Q, V, It]) admitInsert(it It) (float64, error) {
 
 // routeInsert picks the owning shard for an admitted weight, given the
 // round-robin cursor position rr (ignored under ShardByWeight).
-func (s *Sharded[Q, V, It]) routeInsert(w float64, rr int) int {
+func (s *sharded[Q, V, It]) routeInsert(w float64, rr int) int {
 	if s.opts.policy == ShardRoundRobin {
 		return rr
 	}
@@ -300,7 +302,7 @@ func (s *Sharded[Q, V, It]) routeInsert(w float64, rr int) int {
 // Insert adds an item to the shard the policy selects, after the same
 // validation gate as a single engine: geometry, weight finiteness, and
 // global (cross-shard) weight uniqueness.
-func (s *Sharded[Q, V, It]) Insert(it It) error {
+func (s *sharded[Q, V, It]) Insert(it It) error {
 	if s.shards[0].dyn == nil {
 		return errStatic(s.opts.reduction)
 	}
@@ -325,7 +327,7 @@ func (s *Sharded[Q, V, It]) Insert(it It) error {
 // routes each item to its owning shard and every shard bulk-loads its
 // sub-batch with a single engine InsertBatch. A batch that fails
 // admission inserts nothing anywhere.
-func (s *Sharded[Q, V, It]) InsertBatch(items []It) error {
+func (s *sharded[Q, V, It]) InsertBatch(items []It) error {
 	if s.shards[0].dyn == nil {
 		return errStatic(s.opts.reduction)
 	}
@@ -366,7 +368,7 @@ func (s *Sharded[Q, V, It]) InsertBatch(items []It) error {
 
 // Delete removes the item with the given weight from its owning shard,
 // reporting whether it was present anywhere.
-func (s *Sharded[Q, V, It]) Delete(weight float64) (bool, error) {
+func (s *sharded[Q, V, It]) Delete(weight float64) (bool, error) {
 	if s.shards[0].dyn == nil {
 		return false, errStatic(s.opts.reduction)
 	}
@@ -387,7 +389,7 @@ func (s *Sharded[Q, V, It]) Delete(weight float64) (bool, error) {
 // map routes each weight, so every shard sees one DeleteBatch over
 // exactly the weights it holds and runs its structural maintenance
 // once for the whole batch.
-func (s *Sharded[Q, V, It]) DeleteBatch(weights []float64) (int, error) {
+func (s *sharded[Q, V, It]) DeleteBatch(weights []float64) (int, error) {
 	if s.shards[0].dyn == nil {
 		return 0, errStatic(s.opts.reduction)
 	}
@@ -416,7 +418,7 @@ func (s *Sharded[Q, V, It]) DeleteBatch(weights []float64) (int, error) {
 
 // Items returns a snapshot of the live items across all shards, in
 // unspecified order.
-func (s *Sharded[Q, V, It]) Items() []It {
+func (s *sharded[Q, V, It]) Items() []It {
 	var out []It
 	for _, e := range s.shards {
 		out = append(out, e.Items()...)
@@ -426,7 +428,7 @@ func (s *Sharded[Q, V, It]) Items() []It {
 
 // Stats returns the element-wise sum of every shard's simulated I/O
 // counters and space usage.
-func (s *Sharded[Q, V, It]) Stats() Stats {
+func (s *sharded[Q, V, It]) Stats() Stats {
 	out := Stats{Reduction: s.opts.reduction}
 	for _, e := range s.shards {
 		st := e.Stats()
@@ -438,18 +440,8 @@ func (s *Sharded[Q, V, It]) Stats() Stats {
 	return out
 }
 
-// ShardStats returns each shard's own counters, positionally aligned
-// with ShardLens.
-func (s *Sharded[Q, V, It]) ShardStats() []Stats {
-	out := make([]Stats, len(s.shards))
-	for i, e := range s.shards {
-		out[i] = e.Stats()
-	}
-	return out
-}
-
 // ResetStats zeroes every shard's I/O counters (space is preserved).
-func (s *Sharded[Q, V, It]) ResetStats() {
+func (s *sharded[Q, V, It]) ResetStats() {
 	for _, e := range s.shards {
 		e.ResetStats()
 	}
@@ -459,7 +451,7 @@ func (s *Sharded[Q, V, It]) ResetStats() {
 // series under its shard label, plus the topk_shards gauge — in
 // Prometheus text exposition format. It errors unless the index was
 // built WithMetrics.
-func (s *Sharded[Q, V, It]) WriteMetrics(w io.Writer) error {
+func (s *sharded[Q, V, It]) WriteMetrics(w io.Writer) error {
 	if s.reg == nil {
 		return fmt.Errorf("topk: metrics not enabled; build the index with WithMetrics()")
 	}

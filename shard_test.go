@@ -5,9 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"topk/internal/interval"
 	"topk/internal/shard"
 	"topk/internal/wrand"
 )
+
+// shardedIntervals is the sharded interval index the registry's
+// BuildSharded constructs, built directly over the given items.
+type shardedIntervals = sharded[float64, interval.Interval, IntervalItem[int]]
+
+func newShardedIntervals(items []IntervalItem[int], shards int, opts ...Option) (*shardedIntervals, error) {
+	return newSharded(intervalProblem[int](), items, shards, opts)
+}
 
 func shardIntervals(n int, seed uint64) []IntervalItem[int] {
 	g := wrand.New(seed)
@@ -22,15 +31,15 @@ func shardIntervals(n int, seed uint64) []IntervalItem[int] {
 
 func TestShardedConstructorErrors(t *testing.T) {
 	items := shardIntervals(10, 1)
-	if _, err := NewShardedIntervalIndex(items, 0); err == nil {
+	if _, err := newShardedIntervals(items, 0); err == nil {
 		t.Fatal("accepted 0 shards")
 	}
 	dup := append(append([]IntervalItem[int]{}, items...), items[3])
-	if _, err := NewShardedIntervalIndex(dup, 4); err == nil {
+	if _, err := newShardedIntervals(dup, 4); err == nil {
 		t.Fatal("accepted a cross-shard duplicate weight")
 	}
 	bad := append(append([]IntervalItem[int]{}, items...), IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5})
-	if _, err := NewShardedIntervalIndex(bad, 4); err == nil {
+	if _, err := newShardedIntervals(bad, 4); err == nil {
 		t.Fatal("accepted a malformed interval")
 	}
 }
@@ -42,12 +51,12 @@ func TestShardedPolicies(t *testing.T) {
 	const n, shards = 100, 4
 	items := shardIntervals(n, 2)
 
-	byWeight, err := NewShardedIntervalIndex(items, shards)
+	byWeight, err := newShardedIntervals(items, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if byWeight.Policy() != ShardByWeight {
-		t.Fatalf("default policy = %v", byWeight.Policy())
+	if byWeight.opts.policy != ShardByWeight {
+		t.Fatalf("default policy = %v", byWeight.opts.policy)
 	}
 	want := make([]int, shards)
 	for _, it := range items {
@@ -59,12 +68,12 @@ func TestShardedPolicies(t *testing.T) {
 		}
 	}
 
-	rr, err := NewShardedIntervalIndex(items, shards, WithShardPolicy(ShardRoundRobin))
+	rr, err := newShardedIntervals(items, shards, WithShardPolicy(ShardRoundRobin))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Policy() != ShardRoundRobin {
-		t.Fatalf("policy = %v", rr.Policy())
+	if rr.opts.policy != ShardRoundRobin {
+		t.Fatalf("policy = %v", rr.opts.policy)
 	}
 	check := func(stage string) {
 		lens := rr.ShardLens()
@@ -102,7 +111,7 @@ func TestShardedDynamicMatchesSingle(t *testing.T) {
 	for _, policy := range []ShardPolicy{ShardByWeight, ShardRoundRobin} {
 		t.Run(policy.String(), func(t *testing.T) {
 			items := shardIntervals(60, 3)
-			sharded, err := NewShardedIntervalIndex(items, 3, WithShardPolicy(policy))
+			sharded, err := newShardedIntervals(items, 3, WithShardPolicy(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +166,7 @@ func TestShardedDynamicMatchesSingle(t *testing.T) {
 // series carries a shard label, each metric family renders exactly one
 // HELP/TYPE header, and the topk_shards gauge reports the width.
 func TestShardedMetricsSharedRegistry(t *testing.T) {
-	ix, err := NewShardedIntervalIndex(shardIntervals(80, 4), 3, WithMetrics())
+	ix, err := newShardedIntervals(shardIntervals(80, 4), 3, WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +194,7 @@ func TestShardedMetricsSharedRegistry(t *testing.T) {
 		}
 	}
 
-	plain, err := NewShardedIntervalIndex(shardIntervals(10, 5), 2)
+	plain, err := newShardedIntervals(shardIntervals(10, 5), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +206,15 @@ func TestShardedMetricsSharedRegistry(t *testing.T) {
 // TestShardedStatsAggregate checks that index-wide Stats are the
 // element-wise sum of the per-shard counters and reset together.
 func TestShardedStatsAggregate(t *testing.T) {
-	ix, err := NewShardedIntervalIndex(shardIntervals(120, 6), 4, WithReduction(WorstCase))
+	ix, err := newShardedIntervals(shardIntervals(120, 6), 4, WithReduction(WorstCase))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.ResetStats()
 	ix.TopK(42, 9)
 	sum := Stats{Reduction: WorstCase}
-	for _, st := range ix.ShardStats() {
+	for _, e := range ix.shards {
+		st := e.Stats()
 		sum.Reads += st.Reads
 		sum.Writes += st.Writes
 		sum.Hits += st.Hits
@@ -222,43 +232,10 @@ func TestShardedStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestShardedOrthoValidation checks that the dimension-checked wrappers
-// keep their facade error contract behind sharding.
-func TestShardedOrthoValidation(t *testing.T) {
-	items := []PointItemN[int]{
-		{Coords: []float64{1, 2}, Weight: 1},
-		{Coords: []float64{3, 4}, Weight: 2},
-		{Coords: []float64{5, 6}, Weight: 3},
-	}
-	ix, err := NewShardedOrthoIndex(items, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Dim() != 2 {
-		t.Fatalf("Dim() = %d", ix.Dim())
-	}
-	if _, err := ix.TopK([]float64{0}, []float64{9}, 2); err == nil {
-		t.Fatal("accepted a 1D box on a 2D index")
-	}
-	if _, err := ix.TopK([]float64{9, 9}, []float64{0, 0}, 2); err == nil {
-		t.Fatal("accepted an inverted box")
-	}
-	got, err := ix.TopK([]float64{0, 0}, []float64{10, 10}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Weight != 3 {
-		t.Fatalf("TopK = %+v", got)
-	}
-	if _, err := NewShardedOrthoIndex(items, 0, 2); err == nil {
-		t.Fatal("accepted dimension 0")
-	}
-}
-
 // TestShardedReportAboveEarlyStop checks that a visitor returning false
 // stops the scan across shard boundaries.
 func TestShardedReportAboveEarlyStop(t *testing.T) {
-	ix, err := NewShardedIntervalIndex(shardIntervals(50, 8), 4)
+	ix, err := newShardedIntervals(shardIntervals(50, 8), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +246,67 @@ func TestShardedReportAboveEarlyStop(t *testing.T) {
 	})
 	if seen > 3 {
 		t.Fatalf("visited %d items after stopping at 3", seen)
+	}
+}
+
+// TestMergeShardResultsLadder pins the per-query merge both serving
+// paths share: stats sum, traces concatenate in shard order, and the
+// degradation ladder keeps the top-1 prefix on OutcomeDegraded and
+// empties the answer on any other abort, reporting the worst outcome
+// and the first error.
+func TestMergeShardResultsLadder(t *testing.T) {
+	weight := func(it ServedItem) float64 { return it.Weight }
+	items := func(ws ...float64) []ServedItem {
+		out := make([]ServedItem, len(ws))
+		for i, w := range ws {
+			out[i] = ServedItem{Weight: w}
+		}
+		return out
+	}
+	errA, errB := fmt.Errorf("shard a"), fmt.Errorf("shard b")
+	ok := func(ws ...float64) BatchResult[ServedItem] {
+		return BatchResult[ServedItem]{
+			Items: items(ws...), Stats: QueryStats{Reads: 2, Writes: 1, Hits: 3},
+			Trace: []TraceEvent{{Phase: fmt.Sprint(ws)}},
+		}
+	}
+	aborted := func(o Outcome, err error, ws ...float64) BatchResult[ServedItem] {
+		r := ok(ws...)
+		r.Outcome, r.Err = o, err
+		return r
+	}
+	rows := []struct {
+		name    string
+		per     []BatchResult[ServedItem]
+		outcome Outcome
+		err     error
+		want    []float64
+	}{
+		{"all-ok", []BatchResult[ServedItem]{ok(9, 4, 1), ok(8, 7), ok()}, OutcomeOK, nil, []float64{9, 8, 7}},
+		{"degraded", []BatchResult[ServedItem]{ok(5, 4), aborted(OutcomeDegraded, errA, 6), ok(3)}, OutcomeDegraded, errA, []float64{6}},
+		{"typed-refusal", []BatchResult[ServedItem]{ok(5, 4), aborted(OutcomeBudgetExceeded, errA), aborted(OutcomeDeadlineExceeded, errB)}, OutcomeDeadlineExceeded, errA, nil},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			got := MergeShardResults(row.per, 3, weight)
+			if got.Outcome != row.outcome || got.Err != row.err {
+				t.Fatalf("outcome %v err %v, want %v %v", got.Outcome, got.Err, row.outcome, row.err)
+			}
+			if len(got.Items) != len(row.want) {
+				t.Fatalf("items %v, want weights %v", got.Items, row.want)
+			}
+			for i, w := range row.want {
+				if got.Items[i].Weight != w {
+					t.Fatalf("items %v, want weights %v", got.Items, row.want)
+				}
+			}
+			n := int64(len(row.per))
+			if want := (QueryStats{Reads: 2 * n, Writes: n, Hits: 3 * n}); got.Stats != want {
+				t.Fatalf("stats %+v, want %+v", got.Stats, want)
+			}
+			if len(got.Trace) != len(row.per) || got.Trace[0].Phase != row.per[0].Trace[0].Phase {
+				t.Fatalf("trace %+v does not concatenate the shards' traces in order", got.Trace)
+			}
+		})
 	}
 }

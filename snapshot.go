@@ -497,7 +497,7 @@ type Manifest struct {
 	Problem       string `json:"problem"`
 	Reduction     string `json:"reduction"`
 	Dim           int    `json:"dim,omitempty"`
-	// Partitioned distinguishes a Sharded index (even with one shard)
+	// Partitioned distinguishes a sharded index (even with one shard)
 	// from a plain engine, so a restore rebuilds the same wrapper.
 	Partitioned bool   `json:"partitioned"`
 	Shards      int    `json:"shards"`
@@ -613,19 +613,11 @@ func (e *engine[Q, V, It]) snapDir(dir string) error {
 	return writeManifest(dir, mf)
 }
 
-// SnapshotShard writes shard i's snapshot stream to w — the shipping
-// primitive: one shard's file restores on any machine.
-func (s *Sharded[Q, V, It]) SnapshotShard(i int, w io.Writer) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("topk: shard %d out of range [0, %d)", i, len(s.shards))
-	}
-	return s.shards[i].Snapshot(w)
-}
-
-// Snapshot persists the partitioned index as a directory: one snapshot
-// file per shard plus a manifest. Safe concurrently with queries, not
-// with Insert or Delete.
-func (s *Sharded[Q, V, It]) Snapshot(dir string) error {
+// snapDir persists the partitioned index as a directory: one snapshot
+// file per shard plus a manifest. Each shard's file restores on its own
+// on any machine — the shipping primitive behind LoadShard. Safe
+// concurrently with queries, not with Insert or Delete.
+func (s *sharded[Q, V, It]) snapDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -642,9 +634,7 @@ func (s *Sharded[Q, V, It]) Snapshot(dir string) error {
 		Items:         s.Len(),
 	}
 	for i, e := range s.shards {
-		entry, err := writeSnapFile(dir, shardFileName(i), i, e.Len(), func(w io.Writer) error {
-			return s.SnapshotShard(i, w)
-		})
+		entry, err := writeSnapFile(dir, shardFileName(i), i, e.Len(), e.Snapshot)
 		if err != nil {
 			return err
 		}
@@ -652,8 +642,6 @@ func (s *Sharded[Q, V, It]) Snapshot(dir string) error {
 	}
 	return writeManifest(dir, mf)
 }
-
-func (s *Sharded[Q, V, It]) snapDir(dir string) error { return s.Snapshot(dir) }
 
 // restoreEngineFile restores one engine from a shard file, verifying the
 // manifest's size and checksum before decoding.
@@ -683,7 +671,7 @@ func restoreEngineFile[Q, V, It any](
 	return e, nil
 }
 
-// restoreSharded reassembles a Sharded index from a partitioned
+// restoreSharded reassembles a sharded index from a partitioned
 // snapshot directory: each shard file restores into its own engine, the
 // owner map is rebuilt from the restored weights, and the policy and
 // round-robin cursor come back from the manifest.
@@ -692,7 +680,7 @@ func restoreSharded[Q, V, It any](
 	dir string,
 	mf Manifest,
 	opts []Option,
-) (*Sharded[Q, V, It], error) {
+) (*sharded[Q, V, It], error) {
 	pol, err := shardPolicyFromName(mf.Policy)
 	if err != nil {
 		return nil, err
@@ -701,7 +689,7 @@ func restoreSharded[Q, V, It any](
 		return nil, fmt.Errorf("topk: manifest round-robin cursor %d out of range [0, %d)", mf.RR, mf.Shards)
 	}
 	base := applyOptions(opts)
-	s := &Sharded[Q, V, It]{owner: make(map[float64]int), rr: mf.RR}
+	s := &sharded[Q, V, It]{owner: make(map[float64]int), rr: mf.RR}
 	if base.metrics {
 		s.reg = obs.NewRegistry()
 	}
@@ -745,7 +733,7 @@ func restoreSharded[Q, V, It any](
 }
 
 // restoreServedEngine restores a snapshot directory into whichever
-// wrapper it was saved from — a plain engine or a Sharded partition —
+// wrapper it was saved from — a plain engine or a sharded partition —
 // behind the servedEngine surface the registry adapters consume.
 func restoreServedEngine[Q, V, It any](
 	mk func(snap.Header) (problem[Q, V, It], error),
@@ -830,7 +818,7 @@ func reshardSnapshot[Q, V, It any](
 	switch t := eng.(type) {
 	case *engine[Q, V, It]:
 		p, o = t.p, t.opts
-	case *Sharded[Q, V, It]:
+	case *sharded[Q, V, It]:
 		p, o = t.p, t.opts
 	default:
 		return fmt.Errorf("topk: unexpected restored engine %T", eng)
@@ -839,7 +827,7 @@ func reshardSnapshot[Q, V, It any](
 	if err != nil {
 		return err
 	}
-	return s.Snapshot(dstDir)
+	return s.snapDir(dstDir)
 }
 
 // LoadSnapshot restores any snapshot directory: the manifest names the

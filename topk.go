@@ -24,13 +24,14 @@
 // range reporting (NewOrthoIndex), circular range reporting
 // (NewCircularIndex), 3D dominance (NewDominanceIndex), 2D point
 // enclosure (NewEnclosureIndex), and 2D halfplane / d-dimensional
-// halfspace reporting (NewHalfplaneIndex, NewHalfspaceIndex). Each has a
-// sharded variant (NewSharded*Index) partitioning the items across
-// independent engines with parallel fan-out and answer-identical
-// merging. The registry (RegisteredProblems, ProblemByName) exposes all
-// of them through the type-erased Served interface, which is what the
-// serving binary (cmd/topk-serve), the snapshot tool (cmd/topk-snap),
-// and the conformance suite drive.
+// halfspace reporting (NewHalfplaneIndex, NewHalfspaceIndex). The
+// registry (RegisteredProblems, ProblemByName) exposes all of them
+// through the type-erased Served interface, which is what the serving
+// binary (cmd/topk-serve), the snapshot tool (cmd/topk-snap), and the
+// conformance suite drive. ProblemSpec.BuildSharded serves any of them
+// partitioned across independent engines, with parallel fan-out and an
+// answer-identical merge (MergeShardResults, which the cluster
+// coordinator applies too).
 //
 // All index reads run against a simulated external-memory machine and
 // report I/O counts through Stats, so the paper's I/O bounds can be
