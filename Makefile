@@ -28,12 +28,13 @@ test:
 	$(GO) test ./...
 
 # The race pass over everything, then repeated runs of the tests that
-# share one tracker between concurrent query views, so an interleaving
-# the detector missed once gets nine more chances.
+# share one tracker between concurrent query views (or one log between
+# concurrent shards), so an interleaving the detector missed once gets
+# nine more chances.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/em
-	$(GO) test -race -count=10 -run 'TestConcurrent|TestTraceInvariant|TestRunBatchPanic|TestSnapshotConcurrent' .
+	$(GO) test -race -count=10 -run 'TestConcurrent|TestTraceInvariant|TestRunBatchPanic|TestSnapshotConcurrent|TestShardedIndexSharesOneLog' .
 
 # Fuzz pass over every fuzz target. FUZZTIME scales the session: the
 # default is CI-sized, the nightly workflow cranks it to minutes
@@ -111,7 +112,7 @@ perfbench-check:
 
 # End-to-end smoke of the serving surface: start topk-serve, poll
 # /healthz, answer a /query batch, and assert /metrics exposes populated
-# histograms. Needs curl.
+# summaries. Needs curl.
 #
 # Every smoke target cleans up with the same discipline: an accumulated
 # pid list killed by a single-quoted trap on EXIT, INT, and TERM — so a
@@ -130,7 +131,7 @@ serve-smoke:
 	curl -sf -X POST http://127.0.0.1:18099/query -d '{"queries":[10,50,90],"k":5}' | grep -q '"ios"' \
 		|| { echo "FAIL: /query"; exit 1; }; \
 	metrics=$$(curl -sf http://127.0.0.1:18099/metrics); \
-	echo "$$metrics" | grep -q 'topk_query_ios_bucket{' || { echo "FAIL: no topk_query_ios_bucket in /metrics"; exit 1; }; \
+	echo "$$metrics" | grep -q 'topk_query_ios{index="interval",quantile="0.99"}' || { echo "FAIL: no topk_query_ios p99 in /metrics"; exit 1; }; \
 	count=$$(echo "$$metrics" | sed -n 's/^topk_query_ios_count{index="interval"} //p'); \
 	[ "$$count" = "3" ] || { echo "FAIL: topk_query_ios_count = $$count, want 3"; exit 1; }; \
 	curl -sf http://127.0.0.1:18099/debug/slow | grep -q 'slow query' || { echo "FAIL: /debug/slow empty"; exit 1; }; \

@@ -213,7 +213,7 @@ func runBatch[Q, R any](tr *em.Tracker, ob *indexObs, qs []Q, parallelism int, s
 			if ob.wantTrace() {
 				out[i].Trace = toPublicTrace(trace)
 			}
-			ob.observeBatch(time.Since(t0), st, trace, batchLifecycle{
+			ob.observeQuery(time.Since(t0), st, trace, batchLifecycle{
 				ctx: spec.ctx, k: spec.k, outcome: out[i].Outcome, abort: abort,
 			}, func() string { return fmt.Sprintf("%+v", qs[i]) })
 		}

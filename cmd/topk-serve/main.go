@@ -79,7 +79,6 @@ type server struct {
 	shards      int
 	parallelism int
 	ix          topk.Served
-	slow        *ringWriter
 	started     time.Time
 
 	// ixMu guards the index's exclusive-update contract: queries,
@@ -105,39 +104,6 @@ type server struct {
 	restoreReads int64
 	snapMu       sync.Mutex // serializes checkpoints (timer vs POST /snapshot)
 	checkpoints  expvar.Int
-}
-
-// ringWriter retains the last few slow-query entries for /debug/slow.
-// It is handed to WithSlowQueryLog as the io.Writer.
-type ringWriter struct {
-	mu      sync.Mutex
-	entries []string
-	next    int
-}
-
-func newRingWriter(keep int) *ringWriter {
-	return &ringWriter{entries: make([]string, 0, keep)}
-}
-
-func (r *ringWriter) Write(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := string(p)
-	if len(r.entries) < cap(r.entries) {
-		r.entries = append(r.entries, e)
-	} else {
-		r.entries[r.next] = e
-		r.next = (r.next + 1) % cap(r.entries)
-	}
-	return len(p), nil
-}
-
-func (r *ringWriter) dump(w io.Writer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := 0; i < len(r.entries); i++ {
-		io.WriteString(w, r.entries[(r.next+i)%len(r.entries)])
-	}
 }
 
 func main() {
@@ -192,8 +158,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	slow := newRingWriter(*slowKeep)
-	srv, err := buildServer(*problem, *n, *shards, *seed, *slowIOs, *parallelism, *snapDir, *slowKeep, slow, qlogW, extra...)
+	srv, err := buildServer(*problem, *n, *shards, *seed, *slowIOs, *parallelism, *snapDir, *slowKeep, qlogW, extra...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "topk-serve: %v\n", err)
 		os.Exit(1)
@@ -276,8 +241,9 @@ func main() {
 // holds a snapshot of the same problem, the index is restored from it —
 // a warm start at O(size/B) read I/Os — instead of built; the restore
 // keeps the snapshot's reduction, shard count, and seed, so -n and
-// -shards are ignored on that path.
-func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, parallelism int, snapDir string, slowKeep int, slow *ringWriter, qlogW io.Writer, extra ...topk.Option) (*server, error) {
+// -shards are ignored on that path. Slow queries are kept only in the
+// index's own ring of slowKeep entries, which /debug/slow prints.
+func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, parallelism int, snapDir string, slowKeep int, qlogW io.Writer, extra ...topk.Option) (*server, error) {
 	spec, ok := topk.ProblemByName(problem)
 	if !ok {
 		return nil, fmt.Errorf("unknown problem %q (want one of: %s)", problem, strings.Join(topk.ProblemNames(), ", "))
@@ -285,7 +251,7 @@ func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, para
 	opts := []topk.Option{topk.WithSeed(seed), topk.WithTracing(), topk.WithMetrics()}
 	opts = append(opts, extra...)
 	if slowIOs > 0 {
-		opts = append(opts, topk.WithSlowQueryLog(slow, slowIOs), topk.WithSlowLogKeep(slowKeep))
+		opts = append(opts, topk.WithSlowQueryLog(nil, slowIOs), topk.WithSlowLogKeep(slowKeep))
 	}
 	if qlogW != nil {
 		opts = append(opts, topk.WithQueryLog(qlogW))
@@ -301,7 +267,7 @@ func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, para
 			}
 			return &server{
 				problem: problem, n: ix.Len(), shards: ix.Shards(), parallelism: parallelism,
-				ix: ix, slow: slow, started: time.Now(),
+				ix: ix, started: time.Now(),
 				snapDir: snapDir, warmStart: true, restoreReads: ix.Stats().Reads,
 			}, nil
 		} else if !errors.Is(err, fs.ErrNotExist) {
@@ -322,7 +288,7 @@ func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, para
 	}
 	return &server{
 		problem: problem, n: n, shards: ix.Shards(), parallelism: parallelism,
-		ix: ix, slow: slow, started: time.Now(), snapDir: snapDir,
+		ix: ix, started: time.Now(), snapDir: snapDir,
 	}, nil
 }
 
@@ -612,13 +578,15 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// handleSlow prints the index's slow-query ring, oldest entry first.
 func (s *server) handleSlow(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	var b strings.Builder
-	s.slow.dump(&b)
-	if b.Len() == 0 {
+	entries := s.ix.SlowQueries()
+	if len(entries) == 0 {
 		fmt.Fprintln(w, "no slow queries recorded")
 		return
 	}
-	io.WriteString(w, b.String())
+	for _, e := range entries {
+		io.WriteString(w, e)
+	}
 }

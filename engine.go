@@ -118,11 +118,22 @@ func (e *engine[Q, V, It]) validateItem(it It) error {
 	return nil
 }
 
-// newEngine validates items, builds the reduction selected by opts, and
-// wires observability. Construction is deterministic given the same
-// items, options, and seed.
+// newEngine builds an index that is one engine: it validates items,
+// builds the reduction selected by opts, and gives the engine an
+// observability pipeline of its own. Construction is deterministic given
+// the same items, options, and seed.
 func newEngine[Q, V, It any](p problem[Q, V, It], items []It, opts []Option) (*engine[Q, V, It], error) {
-	o := applyOptions(opts)
+	e, err := buildEngine(p, items, applyOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	return e.standalone(), nil
+}
+
+// buildEngine validates items and builds the reduction selected by o,
+// with no observability attached: the caller attaches the engine to its
+// own pipeline (standalone) or to its sharded index's (observe).
+func buildEngine[Q, V, It any](p problem[Q, V, It], items []It, o Options) (*engine[Q, V, It], error) {
 	e := &engine[Q, V, It]{p: p, opts: o, tracker: o.newTracker()}
 	if err := e.init(items); err != nil {
 		return nil, err
@@ -130,9 +141,24 @@ func newEngine[Q, V, It any](p problem[Q, V, It], items []It, opts []Option) (*e
 	return e, nil
 }
 
+// observe attaches the engine to an index's observability pipeline under
+// a shard label ("" for an index that is one engine). Hooks attach after
+// construction so build-time I/Os don't pollute query metrics.
+func (e *engine[Q, V, It]) observe(ob *indexObs, shard string) {
+	e.ob = ob.forEngine(e.tracker, shard)
+	e.ob.observeShape(e.n, e.dyn)
+}
+
+// standalone attaches the engine to a pipeline of its own, built from
+// its options, and returns it.
+func (e *engine[Q, V, It]) standalone() *engine[Q, V, It] {
+	e.observe(newIndexObs(e.p.name, e.opts), "")
+	return e
+}
+
 // init validates items and builds the reduction on the engine's tracker —
-// the construction body shared by newEngine and the snapshot restore path
-// (which wraps it in em.Tracker.RestoreAccounting).
+// the construction body shared by buildEngine and the snapshot restore
+// path (which wraps it in em.Tracker.RestoreAccounting).
 func (e *engine[Q, V, It]) init(items []It) error {
 	p, o, tracker := e.p, e.opts, e.tracker
 	e.n = len(items)
@@ -181,11 +207,6 @@ func (e *engine[Q, V, It]) init(items []It) error {
 	// Direct prioritized access shares the reduction's own black box on D
 	// rather than building a duplicate.
 	e.pri = core.PrioritizedOf(e.topk)
-
-	// Observability hooks attach after construction so build-time I/Os
-	// don't pollute query metrics.
-	e.ob = newIndexObs(p.name, o, tracker)
-	e.ob.observeShape(e.n, e.dyn)
 	return nil
 }
 
@@ -419,6 +440,9 @@ func (e *engine[Q, V, It]) QueryBatchCtx(ctx QueryCtx, qs []Q, k int, parallelis
 // WriteMetrics renders the engine's metrics registry in Prometheus text
 // exposition format. It errors unless built WithMetrics.
 func (e *engine[Q, V, It]) WriteMetrics(w io.Writer) error { return e.ob.writeMetrics(w) }
+
+// slowQueries returns the engine's slow-query ring, oldest first.
+func (e *engine[Q, V, It]) slowQueries() []string { return e.ob.slowQueries() }
 
 // buildTopK wires factories into the selected reduction.
 func buildTopK[Q, V any](

@@ -17,7 +17,7 @@ import (
 // reduction's internal counters), this experiment extracts per-query
 // round counts from BatchResult.Trace — the span stream a production
 // observer would see — and cross-checks the total against the
-// topk_t2_rounds histogram exported by WriteMetrics. The tail bound and
+// topk_t2_rounds summary exported by WriteMetrics. The tail bound and
 // the observability plumbing are validated in one pass.
 func runE26(w io.Writer, cfg Config) error {
 	n := 1 << 15
@@ -82,9 +82,9 @@ func runE26(w io.Writer, cfg Config) error {
 	}
 	t.write(w)
 
-	// Cross-check the metrics surface: the collector observes one
-	// topk_t2_rounds sample per ladder query, so the histogram _count
-	// must equal the trace-derived ladder-query count.
+	// Cross-check the metrics surface: each finished query is observed
+	// once, with one topk_t2_rounds sample per ladder query, so the
+	// summary's _count must equal the trace-derived ladder-query count.
 	var buf bytes.Buffer
 	if err := ix.WriteMetrics(&buf); err != nil {
 		return err

@@ -377,8 +377,7 @@ func TestTopKOverfetchesPastTombstones(t *testing.T) {
 // nopSink turns tracing on so query views keep their spans.
 type nopSink struct{}
 
-func (nopSink) Event(em.TraceEvent)                  {}
-func (nopSink) QueryTrace([]em.TraceEvent, em.Stats) {}
+func (nopSink) Event(em.TraceEvent) {}
 
 func TestTopKRefetchesHollowedMatches(t *testing.T) {
 	// 400 items, value i%4, weight i, in one level. The 60 heaviest items

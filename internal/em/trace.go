@@ -16,8 +16,9 @@ package em
 //
 // Spans take the query's view exactly as charges do: a span begun with a
 // QueryView snapshots the view's private counters and is buffered on the
-// view, giving exact per-query phase deltas; a span begun with a nil view
-// (builds, updates, flush merges — all under the caller's exclusive-access
+// view, giving exact per-query phase deltas that the query's caller reads
+// back through QueryView.Trace; a span begun with a nil view (builds,
+// updates, flush merges — all under the caller's exclusive-access
 // contract) snapshots the shared atomic counters and is delivered to the
 // sink immediately.
 // Shared-path spans taken while other goroutines are charging I/Os
@@ -60,18 +61,13 @@ func (ev TraceEvent) IOs() int64 { return ev.Reads + ev.Writes }
 // construction while still exposing how much cost escaped attribution.
 const PhaseUnattributed = "em.unattributed"
 
-// A TraceSink receives completed spans. Implementations must be safe for
-// concurrent use (query traces arrive from every worker goroutine of a
-// batch) and must not issue charges against the tracker they observe.
+// A TraceSink receives the spans completed outside any query view:
+// build, update, flush and rebuild phases, or queries run on the shared
+// path. Spans inside a view never reach it; they stay buffered on the
+// view. Implementations must be safe for concurrent use and must not
+// issue charges against the tracker they observe.
 type TraceSink interface {
-	// Event receives one span completed outside any query view: build,
-	// update, flush and rebuild phases, or queries run on the shared
-	// path.
 	Event(ev TraceEvent)
-	// QueryTrace receives one completed query's ordered spans along with
-	// the query's final counter totals. The events slice is owned by the
-	// caller and must not be retained or mutated after the call returns.
-	QueryTrace(events []TraceEvent, st Stats)
 }
 
 // sinkBox wraps the installed sink so the tracker can hold it in an
@@ -133,8 +129,8 @@ func (t *Tracker) BeginSpan(v *QueryView) SpanMark {
 
 // EndSpan closes a span: it computes the counter deltas since the mark
 // and either buffers the event on the query view v that BeginSpan was
-// given (delivered as a batch by QueryView.End) or, for a shared-path
-// mark, delivers it to the sink immediately. Inactive marks (tracing off,
+// given (read back through QueryView.Trace) or, for a shared-path mark,
+// delivers it to the sink immediately. Inactive marks (tracing off,
 // nil tracker) no-op.
 func (t *Tracker) EndSpan(v *QueryView, m SpanMark, phase string, level int, arg int64) {
 	if t == nil || !m.active {

@@ -71,19 +71,19 @@ func (v *QueryView) Stats() Stats {
 // with atomic adds, and returns the view's final Stats. Calling End again
 // is a no-op that returns the same Stats, so it is safe to defer.
 //
-// When a TraceSink is installed, End first closes the query's trace: if
+// When a TraceSink is installed, End also closes the query's trace: if
 // the depth-0 spans do not account for the view's full counters, a
 // synthetic PhaseUnattributed event covers the difference, so the depth-0
 // deltas of the finished trace always sum exactly to the returned Stats.
-// The trace is then delivered to the sink via QueryTrace and remains
-// readable through Trace.
+// The sink is not told: the query's caller reads the trace through Trace
+// and observes the query with its Stats.
 func (v *QueryView) End() Stats {
 	st := v.Stats()
 	if v.ended {
 		return st
 	}
 	v.ended = true
-	if box := v.t.sink.Load(); box != nil {
+	if v.t.sink.Load() != nil {
 		r := v.reads - v.spanReads
 		w := v.writes - v.spanWrites
 		h := v.hits - v.spanHits
@@ -93,7 +93,6 @@ func (v *QueryView) End() Stats {
 				Reads: r, Writes: w, Hits: h,
 			})
 		}
-		box.s.QueryTrace(v.trace, st)
 	}
 	v.t.nviews.Add(-1)
 	v.t.reads.Add(v.reads)

@@ -360,16 +360,6 @@ func (t *Tree[V]) bumpChurn() {
 	}
 }
 
-// Walk visits every stored item in unspecified order, stopping early if
-// visit returns false.
-func (t *Tree[V]) Walk(visit func(core.Item[V]) bool) {
-	for _, it := range t.collect() {
-		if !visit(it) {
-			return
-		}
-	}
-}
-
 func (t *Tree[V]) collect() []core.Item[V] {
 	items := make([]core.Item[V], 0, len(t.loc))
 	var walk func(nd *tnode[V])

@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"sync"
+	"time"
 
 	"topk/internal/em"
 )
@@ -11,28 +12,26 @@ import (
 // Names match the exposition in DESIGN.md §9; every series carries an
 // {index="..."} label (plus any extra labels, e.g. shard="0" for one
 // shard of a partitioned index) so several instances can share one
-// Registry.
+// Registry. Each distribution is a LogHistogram exported as a summary
+// (p50/p99/p999 plus _sum and _count), and each finished query is
+// recorded once, by ObserveQuery.
 type QueryMetrics struct {
-	Queries     *Counter   // topk_queries_total
-	Latency     *Histogram // topk_query_latency_seconds
-	IOs         *Histogram // topk_query_ios
-	Rounds      *Histogram // topk_t2_rounds
-	Hits        *Counter   // topk_cache_hits_total
-	Misses      *Counter   // topk_cache_misses_total
-	Flushes     *Counter   // topk_flushes_total
-	Rebuilds    *Counter   // topk_rebuilds_total
-	SlowQueries *Counter   // topk_slow_queries_total
-	Items       *Gauge     // topk_index_items
-	Levels      *Gauge     // topk_overlay_levels
+	Queries     *Counter      // topk_queries_total
+	Latency     *LogHistogram // topk_query_latency_seconds (observed in ns)
+	IOs         *LogHistogram // topk_query_ios
+	Rounds      *LogHistogram // topk_t2_rounds
+	Hits        *Counter      // topk_cache_hits_total
+	Misses      *Counter      // topk_cache_misses_total
+	Flushes     *Counter      // topk_flushes_total
+	Rebuilds    *Counter      // topk_rebuilds_total
+	SlowQueries *Counter      // topk_slow_queries_total
+	Items       *Gauge        // topk_index_items
+	Levels      *Gauge        // topk_overlay_levels
 
-	// Request-lifecycle series (PR 8). LatencyQ and IOsQ are HDR-style
-	// summaries giving p50/p99/p999 at bounded relative error; the
-	// fixed-bucket Latency/IOs histograms above stay for rate() dashboards.
-	LatencyQ         *LogHistogram // topk_query_latency (seconds, quantiles)
-	IOsQ             *LogHistogram // topk_query_ios_quantiles
-	BudgetAborts     *Counter      // topk_budget_aborts_total
-	DeadlineExceeded *Counter      // topk_deadline_exceeded_total
-	Degraded         *Counter      // topk_degraded_results_total
+	// Request-lifecycle counters: how queries run under a QueryCtx ended.
+	BudgetAborts     *Counter // topk_budget_aborts_total
+	DeadlineExceeded *Counter // topk_deadline_exceeded_total
+	Degraded         *Counter // topk_degraded_results_total
 
 	// Per-operation update-cost attribution: one observation per
 	// Insert/Delete with the exact I/O delta of that operation, so the
@@ -43,14 +42,18 @@ type QueryMetrics struct {
 	FlushIOs   *LogHistogram // topk_flush_ios
 	RebuildIOs *LogHistogram // topk_rebuild_ios
 
-	// PolicyBuffered maintenance series (PR 9). Partial rebuilds replace
-	// the logarithmic policy's global rebuilds, so they get the same
+	// PolicyBuffered maintenance series. Partial rebuilds replace the
+	// logarithmic policy's global rebuilds, so they get the same
 	// count-plus-spike treatment; the run gauges expose how much merge
 	// debt the tiered ladder is currently carrying.
 	PartialRebuilds   *Counter      // topk_partial_rebuilds_total
 	PartialRebuildIOs *LogHistogram // topk_partial_rebuild_ios
 	BufferedRuns      *Gauge        // topk_overlay_buffered_runs
 	BufferedItems     *Gauge        // topk_overlay_buffered_items
+
+	// Phases attributes each query's depth-0 span I/Os to a per-phase
+	// summary series (topk_phase_ios).
+	Phases *PhaseIOs
 }
 
 // NewQueryMetrics registers the standard bundle under the given index
@@ -62,15 +65,13 @@ func NewQueryMetrics(r *Registry, index string, extra ...Label) *QueryMetrics {
 	return &QueryMetrics{
 		Queries: r.NewCounter("topk_queries_total",
 			"Top-k queries served.", ls...),
-		Latency: r.NewHistogram("topk_query_latency_seconds",
-			"Wall-clock latency per top-k query.",
-			ExpBuckets(1e-6, 4, 12), ls...),
-		IOs: r.NewHistogram("topk_query_ios",
-			"Counted EM I/Os (reads+writes) per top-k query.",
-			ExpBuckets(1, 2, 16), ls...),
-		Rounds: r.NewHistogram("topk_t2_rounds",
-			"Theorem 2 sampling rounds per query (Lemma 3 predicts a geometric tail).",
-			LinearBuckets(1, 1, 12), ls...),
+		Latency: r.NewLogHistogram("topk_query_latency_seconds",
+			"Wall-clock latency per top-k query (log-bucketed summary, ≤3.2% relative error).",
+			1e-9, ls...),
+		IOs: r.NewLogHistogram("topk_query_ios",
+			"Counted EM I/Os (reads+writes) per top-k query (log-bucketed summary).", 1, ls...),
+		Rounds: r.NewLogHistogram("topk_t2_rounds",
+			"Theorem 2 sampling rounds per query (Lemma 3 predicts a geometric tail).", 1, ls...),
 		Hits: r.NewCounter("topk_cache_hits_total",
 			"EM block touches served from the memory cache.", ls...),
 		Misses: r.NewCounter("topk_cache_misses_total",
@@ -85,11 +86,6 @@ func NewQueryMetrics(r *Registry, index string, extra ...Label) *QueryMetrics {
 			"Live items currently indexed.", ls...),
 		Levels: r.NewGauge("topk_overlay_levels",
 			"Occupied levels in the dynamic overlay ladder (0 for static indexes).", ls...),
-		LatencyQ: r.NewLogHistogram("topk_query_latency",
-			"Wall-clock latency per top-k query (log-bucketed summary, ≤3.2% relative error).",
-			1e-9, ls...),
-		IOsQ: r.NewLogHistogram("topk_query_ios_quantiles",
-			"Counted EM I/Os per top-k query (log-bucketed summary).", 1, ls...),
 		BudgetAborts: r.NewCounter("topk_budget_aborts_total",
 			"Queries aborted because they exceeded their I/O budget.", ls...),
 		DeadlineExceeded: r.NewCounter("topk_deadline_exceeded_total",
@@ -111,6 +107,28 @@ func NewQueryMetrics(r *Registry, index string, extra ...Label) *QueryMetrics {
 			"Pending un-cascaded runs in the buffered policy's tiered ladder.", ls...),
 		BufferedItems: r.NewGauge("topk_overlay_buffered_items",
 			"Items held in pending buffered runs awaiting a cascade merge.", ls...),
+		Phases: &PhaseIOs{r: r, labels: ls, byName: make(map[string]*LogHistogram)},
+	}
+}
+
+// ObserveQuery records one finished query: its count and wall-clock
+// latency, its exact I/O and cache-hit deltas from st, the Theorem 2
+// round count of its trace (when it ran any rounds), and each depth-0
+// span's I/Os against its phase. A query observed without a trace (the
+// shared single-query path) counts everywhere except rounds and phases.
+func (m *QueryMetrics) ObserveQuery(d time.Duration, st em.Stats, events []em.TraceEvent) {
+	m.Queries.Inc()
+	m.Latency.Observe(d.Nanoseconds())
+	m.IOs.Observe(st.IOs())
+	m.Hits.Add(st.Hits)
+	m.Misses.Add(st.Reads)
+	if r := CountRounds(events); r > 0 {
+		m.Rounds.Observe(int64(r))
+	}
+	for _, ev := range events {
+		if ev.Depth == 0 {
+			m.Phases.Observe(ev.Phase, ev.IOs())
+		}
 	}
 }
 
@@ -124,14 +142,6 @@ type PhaseIOs struct {
 	labels []Label
 	mu     sync.RWMutex
 	byName map[string]*LogHistogram
-}
-
-// NewPhaseIOs builds the per-phase attribution table for one index
-// instance. The labels are the same constant set as the instance's
-// QueryMetrics bundle.
-func NewPhaseIOs(r *Registry, index string, extra ...Label) *PhaseIOs {
-	ls := append([]Label{{Key: "index", Value: index}}, extra...)
-	return &PhaseIOs{r: r, labels: ls, byName: make(map[string]*LogHistogram)}
 }
 
 // Observe records ios I/Os attributed to phase.
@@ -154,53 +164,30 @@ func (p *PhaseIOs) Observe(phase string, ios int64) {
 	h.Observe(ios)
 }
 
-// Collector adapts an em.TraceSink stream into a QueryMetrics bundle.
-// Shared-path events (flushes, rebuilds) arrive via Event; per-query
-// traces arrive via QueryTrace with the query's exact Stats delta.
-// All updates are atomic, so one Collector serves concurrent queries.
+// Collector is the em.TraceSink of an index with metrics. The tracker
+// delivers it the spans completed outside any query view, and it counts
+// the structural maintenance among them — flushes, rebuilds and partial
+// rebuilds — with each one's I/O delta in its spike series. Queries are
+// not its business: each finished query reaches the bundle once,
+// through ObserveQuery.
 type Collector struct {
 	M *QueryMetrics
-	// Phases, when non-nil, attributes each query's depth-0 span I/Os to
-	// a per-phase summary series.
-	Phases *PhaseIOs
 }
 
 var _ em.TraceSink = (*Collector)(nil)
 
-// Event counts structural maintenance work delivered outside a query
-// view: flushes and rebuilds from inserts/deletes. Their I/O deltas feed
-// the spike series so rebuild cost is never averaged away.
+// Event counts one maintenance span; every other span is ignored.
 func (c *Collector) Event(ev em.TraceEvent) {
 	switch {
 	case strings.HasSuffix(ev.Phase, ".flush"):
 		c.M.Flushes.Inc()
-		c.M.FlushIOs.Observe(ev.Reads + ev.Writes)
+		c.M.FlushIOs.Observe(ev.IOs())
 	case strings.HasSuffix(ev.Phase, ".rebuild"):
 		c.M.Rebuilds.Inc()
-		c.M.RebuildIOs.Observe(ev.Reads + ev.Writes)
+		c.M.RebuildIOs.Observe(ev.IOs())
 	case strings.HasSuffix(ev.Phase, ".partial"):
 		c.M.PartialRebuilds.Inc()
-		c.M.PartialRebuildIOs.Observe(ev.Reads + ev.Writes)
-	}
-}
-
-// QueryTrace observes one finished query: its exact I/O and cache-hit
-// deltas from st, plus the Theorem 2 round count derived from the
-// trace's t2.round.* span events.
-func (c *Collector) QueryTrace(events []em.TraceEvent, st em.Stats) {
-	c.M.Queries.Inc()
-	c.M.IOs.Observe(float64(st.IOs()))
-	c.M.IOsQ.Observe(st.IOs())
-	c.M.Hits.Add(st.Hits)
-	c.M.Misses.Add(st.Reads)
-	if r := CountRounds(events); r > 0 {
-		c.M.Rounds.Observe(float64(r))
-	}
-	for _, ev := range events {
-		c.Event(ev)
-		if c.Phases != nil && ev.Depth == 0 {
-			c.Phases.Observe(ev.Phase, ev.Reads+ev.Writes)
-		}
+		c.M.PartialRebuildIOs.Observe(ev.IOs())
 	}
 }
 

@@ -18,15 +18,14 @@ const subBits = 5
 const logHistBuckets = (64 - subBits) << subBits
 
 // LogHistogram is an HDR-style log-bucketed histogram of non-negative
-// int64 values (I/Os, nanoseconds). Observe is lock-free and wait-free
-// modulo the max CAS; Quantile answers any percentile with bounded
-// relative error, which is what makes p999 exact enough to gate on —
-// unlike a fixed-bound Histogram, no mass is ever lumped into a final
-// catch-all bucket.
+// int64 values (I/Os, nanoseconds, rounds), and the package's only
+// distribution type. Observe is lock-free and wait-free modulo the max
+// CAS; Quantile answers any percentile with bounded relative error,
+// which is what makes p999 exact enough to gate on — no mass is ever
+// lumped into a final catch-all bucket.
 //
 // Reads (Quantile, Count, Sum, Max) take a relaxed snapshot: they are
-// safe concurrently with Observe but may see a mid-update state, same as
-// the fixed-bucket Histogram.
+// safe concurrently with Observe but may see a mid-update state.
 type LogHistogram struct {
 	counts [logHistBuckets]atomic.Int64
 	count  atomic.Int64

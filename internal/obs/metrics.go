@@ -1,6 +1,7 @@
 // Package obs is the repository's zero-dependency observability layer:
-// an atomic metrics registry with Prometheus text exposition, a trace
-// collector that turns em.TraceSink span streams into metrics, and a
+// an atomic metrics registry with Prometheus text exposition, the
+// per-query observation of an index's metric bundle, a collector that
+// counts the maintenance spans an em.TraceSink delivers, and a
 // slow-query log that captures the full phase trace of expensive
 // queries.
 //
@@ -10,12 +11,10 @@
 // vocabulary: I/Os per query, rounds per query, cache hit rate, overlay
 // shape. Everything is stdlib-only and safe for concurrent use; metric
 // updates are single atomic operations so they can sit on query paths.
+// Every distribution is a LogHistogram, exported as a summary.
 package obs
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // A Counter is a monotonically increasing metric.
 type Counter struct{ v atomic.Int64 }
@@ -37,103 +36,3 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// A Histogram counts observations into fixed, cumulative-at-export
-// buckets, Prometheus-style: bucket i counts observations <= Bounds[i],
-// with an implicit +Inf bucket at the end. Observe is lock-free.
-type Histogram struct {
-	bounds []float64      // ascending upper bounds, +Inf implicit
-	counts []atomic.Int64 // len(bounds)+1, non-cumulative per bucket
-	count  atomic.Int64
-	sum    atomicFloat
-}
-
-// NewHistogram builds a histogram over the given ascending bucket upper
-// bounds. It panics on empty or non-ascending bounds, since a
-// misconfigured histogram would silently misbucket every observation.
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		panic("obs: histogram needs at least one bucket bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.add(v)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
-
-// Buckets returns the upper bounds and the *cumulative* counts per
-// bucket, ending with the +Inf bucket (== Count()). The snapshot is not
-// atomic across buckets, but each bucket is monotone, so cumulative
-// counts are always <= a concurrent Count().
-func (h *Histogram) Buckets() (bounds []float64, cumulative []int64) {
-	cumulative = make([]int64, len(h.counts))
-	var acc int64
-	for i := range h.counts {
-		acc += h.counts[i].Load()
-		cumulative[i] = acc
-	}
-	return h.bounds, cumulative
-}
-
-// atomicFloat is a CAS-loop float64 accumulator.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) add(v float64) {
-	for {
-		old := f.bits.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, new) {
-			return
-		}
-	}
-}
-
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
-
-// ExpBuckets returns n strictly ascending bounds start, start·factor,
-// start·factor², … — the standard exponential bucket ladder.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n bounds start, start+width, start+2·width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("obs: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}

@@ -9,58 +9,6 @@ import (
 	"topk/internal/em"
 )
 
-func TestHistogramBucketsCumulative(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
-		h.Observe(v)
-	}
-	bounds, cum := h.Buckets()
-	if len(bounds) != 3 || len(cum) != 4 {
-		t.Fatalf("got %d bounds, %d buckets", len(bounds), len(cum))
-	}
-	// <=1: {0.5, 1}; <=2: +{1.5}; <=4: +{3}; +Inf: +{100}
-	want := []int64{2, 3, 4, 5}
-	for i, w := range want {
-		if cum[i] != w {
-			t.Errorf("cum[%d] = %d, want %d", i, cum[i], w)
-		}
-	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 106 {
-		t.Errorf("Sum = %v, want 106", h.Sum())
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	for _, bounds := range [][]float64{{}, {2, 1}, {1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v) did not panic", bounds)
-				}
-			}()
-			NewHistogram(bounds)
-		}()
-	}
-}
-
-func TestBucketHelpers(t *testing.T) {
-	exp := ExpBuckets(1, 2, 4)
-	for i, want := range []float64{1, 2, 4, 8} {
-		if exp[i] != want {
-			t.Errorf("ExpBuckets[%d] = %v, want %v", i, exp[i], want)
-		}
-	}
-	lin := LinearBuckets(1, 1, 3)
-	for i, want := range []float64{1, 2, 3} {
-		if lin[i] != want {
-			t.Errorf("LinearBuckets[%d] = %v, want %v", i, lin[i], want)
-		}
-	}
-}
-
 func TestRegistryWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("demo_total", "A demo counter.", Label{Key: "index", Value: "iv"})
@@ -68,9 +16,6 @@ func TestRegistryWritePrometheus(t *testing.T) {
 	g := r.NewGauge("demo_items", "A demo gauge.")
 	g.Set(7)
 	r.NewGaugeFunc("demo_derived", "A computed gauge.", func() float64 { return 2.5 })
-	h := r.NewHistogram("demo_ios", "A demo histogram.", []float64{1, 2}, Label{Key: "index", Value: "iv"})
-	h.Observe(1)
-	h.Observe(5)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -84,12 +29,6 @@ func TestRegistryWritePrometheus(t *testing.T) {
 		"# TYPE demo_items gauge\n",
 		"demo_items 7\n",
 		"demo_derived 2.5\n",
-		"# TYPE demo_ios histogram\n",
-		`demo_ios_bucket{index="iv",le="1"} 1` + "\n",
-		`demo_ios_bucket{index="iv",le="2"} 1` + "\n",
-		`demo_ios_bucket{index="iv",le="+Inf"} 2` + "\n",
-		`demo_ios_sum{index="iv"} 6` + "\n",
-		`demo_ios_count{index="iv"} 2` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n--- got ---\n%s", want, out)
@@ -134,6 +73,9 @@ func TestRegistryEscaping(t *testing.T) {
 	}
 }
 
+// TestCollectorQueryTrace splits one index's observation between its two
+// entries: a finished query's trace reaches the bundle once, through
+// ObserveQuery, and the collector counts only the maintenance spans.
 func TestCollectorQueryTrace(t *testing.T) {
 	r := NewRegistry()
 	qm := NewQueryMetrics(r, "iv")
@@ -145,16 +87,22 @@ func TestCollectorQueryTrace(t *testing.T) {
 		{Phase: "em.unattributed", Reads: 1},
 	}
 	st := em.Stats{Reads: 7, Writes: 1, Hits: 5}
-	c.QueryTrace(events, st)
+	qm.ObserveQuery(3*time.Millisecond, st, events)
 
 	if got := qm.Queries.Value(); got != 1 {
 		t.Errorf("Queries = %d, want 1", got)
+	}
+	if got := qm.Latency.Sum(); got != int64(3*time.Millisecond) {
+		t.Errorf("Latency sum = %d ns, want %d", got, int64(3*time.Millisecond))
 	}
 	if got := qm.IOs.Count(); got != 1 {
 		t.Errorf("IOs count = %d, want 1", got)
 	}
 	if got := qm.IOs.Sum(); got != 8 {
 		t.Errorf("IOs sum = %v, want 8", got)
+	}
+	if got := qm.Rounds.Count(); got != 1 {
+		t.Errorf("Rounds count = %d, want 1 (one ladder query)", got)
 	}
 	if got := qm.Rounds.Sum(); got != 2 {
 		t.Errorf("Rounds sum = %v, want 2", got)
@@ -166,15 +114,26 @@ func TestCollectorQueryTrace(t *testing.T) {
 		t.Errorf("Misses = %d, want 7", got)
 	}
 
-	// Shared-path maintenance events.
+	// A query without a trace (the shared single-query path) counts no
+	// rounds.
+	qm.ObserveQuery(time.Millisecond, em.Stats{Reads: 1}, nil)
+	if got := qm.Rounds.Count(); got != 1 {
+		t.Errorf("Rounds count = %d after a traceless query, want 1", got)
+	}
+
+	// Shared-path maintenance events; query spans are ignored.
 	c.Event(em.TraceEvent{Phase: "dyn.flush"})
 	c.Event(em.TraceEvent{Phase: "dyn.rebuild"})
 	c.Event(em.TraceEvent{Phase: "t2.rebuild"})
+	c.Event(em.TraceEvent{Phase: "t2.round.ok", Reads: 3})
 	if got := qm.Flushes.Value(); got != 1 {
 		t.Errorf("Flushes = %d, want 1", got)
 	}
 	if got := qm.Rebuilds.Value(); got != 2 {
 		t.Errorf("Rebuilds = %d, want 2", got)
+	}
+	if got := qm.Queries.Value(); got != 2 {
+		t.Errorf("Queries = %d after collector events, want 2", got)
 	}
 }
 
@@ -281,14 +240,13 @@ func TestSlowQueryLogSurvivesPanickingWriter(t *testing.T) {
 func TestMetricsConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	qm := NewQueryMetrics(r, "iv")
-	c := &Collector{M: qm}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.QueryTrace([]em.TraceEvent{{Phase: "t2.round.ok"}}, em.Stats{Reads: 1})
+				qm.ObserveQuery(time.Microsecond, em.Stats{Reads: 1}, []em.TraceEvent{{Phase: "t2.round.ok"}})
 			}
 		}()
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"topk/internal/em"
 )
@@ -12,18 +13,13 @@ import (
 // registry against the text format, version 0.0.4: HELP then TYPE per
 // family, samples in registration order, label values escaped
 // (backslash, double-quote, newline), HELP escaped (backslash, newline
-// only — quotes stay literal), histogram expansion with a +Inf bucket,
-// summary expansion with quantile labels.
+// only — quotes stay literal), summary expansion with quantile labels.
 func TestPrometheusTextConformance(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("jobs_total", `count of \ jobs`+"\nsecond line", Label{Key: "path", Value: `C:\tmp`})
 	c.Add(3)
 	g := r.NewGauge("depth", "", Label{Key: "q", Value: "a\"b"}, Label{Key: "a", Value: "nl\nend"})
 	g.Set(-2)
-	h := r.NewHistogram("cost", "buckets", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
 	lh := r.NewLogHistogram("lat", "quantiles", 1)
 	lh.Observe(7)
 
@@ -36,13 +32,6 @@ func TestPrometheusTextConformance(t *testing.T) {
 jobs_total{path="C:\\tmp"} 3
 # TYPE depth gauge
 depth{a="nl\nend",q="a\"b"} -2
-# HELP cost buckets
-# TYPE cost histogram
-cost_bucket{le="1"} 1
-cost_bucket{le="10"} 2
-cost_bucket{le="+Inf"} 3
-cost_sum 55.5
-cost_count 3
 # HELP lat quantiles
 # TYPE lat summary
 lat{quantile="0.5"} 7
@@ -56,14 +45,14 @@ lat_count 1
 	}
 }
 
-// TestCollectorConcurrentLifecycle hammers the full collector surface —
+// TestCollectorConcurrentLifecycle hammers the full observation surface —
 // query traces, shared events, lazy per-phase registration, scrapes —
-// from many goroutines so the race detector can inspect the new
-// summary and phase-attribution paths.
+// from many goroutines so the race detector can inspect the summary and
+// phase-attribution paths.
 func TestCollectorConcurrentLifecycle(t *testing.T) {
 	r := NewRegistry()
 	qm := NewQueryMetrics(r, "iv")
-	c := &Collector{M: qm, Phases: NewPhaseIOs(r, "iv")}
+	c := &Collector{M: qm}
 	phases := []string{"t1.topk", "t2.round.ok", "t2.round.fail", "dyn.tail"}
 
 	var wg sync.WaitGroup
@@ -73,10 +62,10 @@ func TestCollectorConcurrentLifecycle(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				ph := phases[(w+i)%len(phases)]
-				c.QueryTrace([]em.TraceEvent{
+				qm.ObserveQuery(time.Duration(i)*time.Microsecond, em.Stats{Reads: int64(i%17) + 1}, []em.TraceEvent{
 					{Phase: ph, Depth: 0, Reads: int64(i % 17)},
 					{Phase: "t1.inner", Depth: 1, Reads: 1},
-				}, em.Stats{Reads: int64(i%17) + 1})
+				})
 				if i%100 == 0 {
 					c.Event(em.TraceEvent{Phase: "dyn.flush", Reads: 3})
 					var b strings.Builder

@@ -19,7 +19,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindGaugeFunc
-	kindHistogram
 	kindSummary
 )
 
@@ -29,8 +28,6 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	case kindSummary:
 		return "summary"
 	}
@@ -47,7 +44,6 @@ type series struct {
 	c      *Counter
 	g      *Gauge
 	gf     func() float64
-	h      *Histogram
 	lh     *LogHistogram
 	scale  float64 // multiplies lh values at export (e.g. 1e-9 ns→s)
 }
@@ -121,14 +117,6 @@ func (r *Registry) NewGaugeFunc(name, help string, f func() float64, labels ...L
 	r.register(name, help, kindGaugeFunc, &series{labels: sortLabels(labels), gf: f})
 }
 
-// NewHistogram registers and returns a histogram over the given
-// ascending bucket upper bounds.
-func (r *Registry) NewHistogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	h := NewHistogram(bounds)
-	r.register(name, help, kindHistogram, &series{labels: sortLabels(labels), h: h})
-	return h
-}
-
 // NewLogHistogram registers a LogHistogram exported as a Prometheus
 // summary: quantile lines for φ ∈ {0.5, 0.99, 0.999} plus _sum and
 // _count. scale multiplies observed values at export time so a histogram
@@ -145,12 +133,17 @@ func (r *Registry) NewLogHistogram(name, help string, scale float64, labels ...L
 
 // WritePrometheus writes every registered metric in the Prometheus text
 // exposition format (version 0.0.4): HELP and TYPE per family, then one
-// line per series — histograms expand to cumulative _bucket lines plus
-// _sum and _count.
+// line per series — summaries expand to one line per quantile plus _sum
+// and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Copy each family under the lock: a series registered during the
+	// scrape (a lazily added phase) appends to its family's slice, and
+	// the copied slice headers never see that append.
 	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 
 	var b strings.Builder
@@ -167,16 +160,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(&b, f.name, s.labels, "", float64(s.g.Value()))
 			case kindGaugeFunc:
 				writeSample(&b, f.name, s.labels, "", s.gf())
-			case kindHistogram:
-				bounds, cum := s.h.Buckets()
-				for i, ub := range bounds {
-					le := Label{Key: "le", Value: formatFloat(ub)}
-					writeSample(&b, f.name+"_bucket", append(s.labels[:len(s.labels):len(s.labels)], le), "", float64(cum[i]))
-				}
-				inf := Label{Key: "le", Value: "+Inf"}
-				writeSample(&b, f.name+"_bucket", append(s.labels[:len(s.labels):len(s.labels)], inf), "", float64(cum[len(cum)-1]))
-				writeSample(&b, f.name+"_sum", s.labels, "", s.h.Sum())
-				writeSample(&b, f.name+"_count", s.labels, "", float64(s.h.Count()))
 			case kindSummary:
 				for _, q := range summaryQuantiles {
 					ql := Label{Key: "quantile", Value: formatFloat(q)}

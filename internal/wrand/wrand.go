@@ -53,9 +53,6 @@ func (g *RNG) Bernoulli(p float64) bool {
 	return g.r.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Shuffle randomizes the order of n elements via swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 

@@ -56,25 +56,31 @@ func toPublicTrace(events []em.TraceEvent) []TraceEvent {
 // metrics: installing any sink makes query views buffer their traces.
 type nopSink struct{}
 
-func (nopSink) Event(em.TraceEvent)                  {}
-func (nopSink) QueryTrace([]em.TraceEvent, em.Stats) {}
+func (nopSink) Event(em.TraceEvent) {}
 
-// indexObs is one facade's observability state; a nil *indexObs is the
+// indexObs is one index's observability pipeline: the metrics registry,
+// the slow-query log and the wide-event logger, built once per index and
+// shared by every shard engine, so one writer sees one lock and one ring
+// holds every slow entry. forEngine hands each engine a copy carrying its
+// shard label, tracker and metric bundle. A nil *indexObs is the
 // fully-disabled fast path (every method nil-checks).
 type indexObs struct {
 	name    string
+	tracing bool
+	reg     *obs.Registry     // nil unless WithMetrics
+	slow    *obs.SlowQueryLog // nil unless WithSlowQueryLog
+	qlog    *obs.QueryLogger  // nil unless WithQueryLog
+
+	// Set per engine by forEngine; zero on the index's own pipeline.
 	shard   string
 	tracker *em.Tracker
-	reg     *obs.Registry
-	qm      *obs.QueryMetrics
-	slow    *obs.SlowQueryLog
-	qlog    *obs.QueryLogger
-	tracing bool
+	qm      *obs.QueryMetrics // nil unless WithMetrics
 }
 
-// batchLifecycle carries one batch query's request-lifecycle context
-// into the observation layer: the limits it ran under, how it ended,
-// and (when it aborted) the raised sentinel.
+// batchLifecycle carries one query's request-lifecycle context into the
+// observation layer: the limits it ran under, how it ended, and (when it
+// aborted) the raised sentinel. The single-query path runs unlimited and
+// passes the zero value.
 type batchLifecycle struct {
 	ctx     QueryCtx
 	k       int
@@ -82,28 +88,15 @@ type batchLifecycle struct {
 	abort   *em.AbortError
 }
 
-// newIndexObs builds the observability state for one index and installs
-// the trace sink on its tracker. Returns nil when nothing was enabled.
-func newIndexObs(name string, o Options, tracker *em.Tracker) *indexObs {
+// newIndexObs builds the observability pipeline of one index. Returns
+// nil when nothing was enabled.
+func newIndexObs(name string, o Options) *indexObs {
 	if !o.tracing && !o.metrics && o.slowMin <= 0 && o.queryLogW == nil {
 		return nil
 	}
-	ob := &indexObs{name: name, shard: o.shardLabel, tracker: tracker, tracing: o.tracing}
-	var sink em.TraceSink = nopSink{}
+	ob := &indexObs{name: name, tracing: o.tracing}
 	if o.metrics {
-		// A shard engine registers its series in the sharded index's
-		// shared registry under a shard label; a standalone engine owns
-		// its registry outright.
-		ob.reg = o.obsReg
-		if ob.reg == nil {
-			ob.reg = obs.NewRegistry()
-		}
-		var extra []obs.Label
-		if o.shardLabel != "" {
-			extra = append(extra, obs.Label{Key: "shard", Value: o.shardLabel})
-		}
-		ob.qm = obs.NewQueryMetrics(ob.reg, name, extra...)
-		sink = &obs.Collector{M: ob.qm, Phases: obs.NewPhaseIOs(ob.reg, name, extra...)}
+		ob.reg = obs.NewRegistry()
 	}
 	if o.slowMin > 0 {
 		keep := o.slowKeep
@@ -115,14 +108,35 @@ func newIndexObs(name string, o Options, tracker *em.Tracker) *indexObs {
 	if o.queryLogW != nil {
 		ob.qlog = obs.NewQueryLogger(o.queryLogW)
 	}
-	tracker.SetTraceSink(sink)
 	return ob
 }
 
+// forEngine returns the handle one engine observes through and installs
+// the engine's trace sink on tracker: the pipeline's shared registry and
+// logs, plus the engine's shard label ("" for an index that is one
+// engine) and its own metric bundle, registered under that label.
+func (ob *indexObs) forEngine(tracker *em.Tracker, shard string) *indexObs {
+	if ob == nil {
+		return nil
+	}
+	e := *ob
+	e.shard, e.tracker = shard, tracker
+	var sink em.TraceSink = nopSink{}
+	if ob.reg != nil {
+		var extra []obs.Label
+		if shard != "" {
+			extra = append(extra, obs.Label{Key: "shard", Value: shard})
+		}
+		e.qm = obs.NewQueryMetrics(ob.reg, ob.name, extra...)
+		sink = &obs.Collector{M: e.qm}
+	}
+	tracker.SetTraceSink(sink)
+	return &e
+}
+
 // start snapshots the clock and shared counters ahead of a single
-// shared-path query. Batch queries never come through here: each view's
-// end already reports its query exactly, and runBatch adds its own
-// latency/slow-log accounting.
+// shared-path query. Batch queries never come through here: each view
+// measures its query exactly, and runBatch observes it.
 func (ob *indexObs) start() (time.Time, em.Stats) {
 	if ob == nil {
 		return time.Time{}, em.Stats{}
@@ -133,37 +147,25 @@ func (ob *indexObs) start() (time.Time, em.Stats) {
 // done accounts a single shared-path query: counter deltas against the
 // shared tracker (approximate if shared-path queries overlap; QueryBatch
 // gives exact per-query numbers). desc is only invoked when a slow-query
-// entry actually fires.
+// entry or a wide event needs it.
 func (ob *indexObs) done(t0 time.Time, before em.Stats, desc func() string) {
 	if ob == nil {
 		return
 	}
-	d := time.Since(t0)
-	delta := ob.tracker.Stats().Sub(before)
-	if ob.qm != nil {
-		ob.qm.Queries.Inc()
-		ob.qm.Latency.Observe(d.Seconds())
-		ob.qm.LatencyQ.Observe(d.Nanoseconds())
-		ob.qm.IOs.Observe(float64(delta.IOs()))
-		ob.qm.IOsQ.Observe(delta.IOs())
-		ob.qm.Hits.Add(delta.Hits)
-		ob.qm.Misses.Add(delta.Reads)
-	}
-	ob.observeSlow(d, delta, nil, batchLifecycle{}, desc)
-	ob.observeWide(d, delta, nil, batchLifecycle{}, desc)
+	ob.observeQuery(time.Since(t0), ob.tracker.Stats().Sub(before), nil, batchLifecycle{}, desc)
 }
 
-// observeBatch accounts one finished batch query. Its I/O, hit, and
-// round metrics were already recorded exactly by the collector when the
-// query view ended, so latency, the lifecycle counters, the slow log,
-// and the wide-event log remain.
-func (ob *indexObs) observeBatch(d time.Duration, st em.Stats, trace []em.TraceEvent, lc batchLifecycle, desc func() string) {
+// observeQuery accounts one finished query, from either path: the
+// single-query path (done) with no trace, and runBatch with the query's
+// own trace and Stats. It is the only place a query is counted, so each
+// one lands once in the metric bundle, the slow-query log and the
+// wide-event log.
+func (ob *indexObs) observeQuery(d time.Duration, st em.Stats, trace []em.TraceEvent, lc batchLifecycle, desc func() string) {
 	if ob == nil {
 		return
 	}
 	if ob.qm != nil {
-		ob.qm.Latency.Observe(d.Seconds())
-		ob.qm.LatencyQ.Observe(d.Nanoseconds())
+		ob.qm.ObserveQuery(d, st, trace)
 		if lc.abort != nil {
 			switch lc.abort.Reason {
 			case em.AbortBudget:
@@ -181,7 +183,7 @@ func (ob *indexObs) observeBatch(d time.Duration, st em.Stats, trace []em.TraceE
 }
 
 func (ob *indexObs) observeSlow(d time.Duration, st em.Stats, trace []em.TraceEvent, lc batchLifecycle, desc func() string) {
-	if ob == nil || ob.slow == nil || st.IOs() < ob.slow.MinIOs() {
+	if ob.slow == nil || st.IOs() < ob.slow.MinIOs() {
 		return
 	}
 	if ob.qm != nil {
@@ -199,7 +201,7 @@ func (ob *indexObs) observeSlow(d time.Duration, st em.Stats, trace []em.TraceEv
 // when the index was built WithQueryLog: identity, cost, per-phase I/O
 // split, lifecycle limits, and outcome in a single row.
 func (ob *indexObs) observeWide(d time.Duration, st em.Stats, trace []em.TraceEvent, lc batchLifecycle, desc func() string) {
-	if ob == nil || ob.qlog == nil {
+	if ob.qlog == nil {
 		return
 	}
 	ev := obs.WideEvent{
@@ -276,10 +278,11 @@ func (ob *indexObs) writeMetrics(w io.Writer) error {
 	return ob.reg.WritePrometheus(w)
 }
 
-// slowLog exposes the slow-query ring buffer (nil when not enabled).
-func (ob *indexObs) slowLog() *obs.SlowQueryLog {
-	if ob == nil {
+// slowQueries returns the index's slow-query ring, oldest first (nil
+// when the index was built without WithSlowQueryLog).
+func (ob *indexObs) slowQueries() []string {
+	if ob == nil || ob.slow == nil {
 		return nil
 	}
-	return ob.slow
+	return ob.slow.Recent()
 }

@@ -106,6 +106,10 @@ type Served interface {
 	// WriteMetrics renders the index's metrics registry in Prometheus
 	// text format. It errors unless the index was built WithMetrics.
 	WriteMetrics(w io.Writer) error
+	// SlowQueries returns the index's slow-query ring, oldest first:
+	// the last WithSlowLogKeep entries, every shard's in one sequence.
+	// It is nil unless the index was built WithSlowQueryLog.
+	SlowQueries() []string
 	// Snapshot persists the index into dir: one snapshot file per shard
 	// plus a manifest (see DESIGN.md §12). The spec's Restore — or
 	// LoadSnapshot, which dispatches on the manifest — rebuilds an index
@@ -224,6 +228,7 @@ type servedEngine[Q, It any] interface {
 	Stats() Stats
 	ResetStats()
 	WriteMetrics(w io.Writer) error
+	slowQueries() []string
 	hasWeight(w float64) bool
 	snapDir(dir string) error
 }
@@ -385,6 +390,7 @@ func (s *served[Q, V, It]) Delete(weight float64) (bool, error) { return s.eng.D
 func (s *served[Q, V, It]) Stats() Stats                   { return s.eng.Stats() }
 func (s *served[Q, V, It]) ResetStats()                    { s.eng.ResetStats() }
 func (s *served[Q, V, It]) WriteMetrics(w io.Writer) error { return s.eng.WriteMetrics(w) }
+func (s *served[Q, V, It]) SlowQueries() []string          { return s.eng.slowQueries() }
 func (s *served[Q, V, It]) Snapshot(dir string) error      { return s.eng.snapDir(dir) }
 
 // ---- registry entries -------------------------------------------------

@@ -72,13 +72,16 @@ type sharded[Q, V, It any] struct {
 	// Delete (and the global duplicate-weight gate) under any policy.
 	owner map[float64]int
 	// rr is the round-robin insert cursor (ShardRoundRobin only).
-	rr  int
-	reg *obs.Registry // shared metrics registry, nil unless WithMetrics
+	rr int
+	// ob is the index's one observability pipeline, shared by every
+	// shard engine (nil when observability is off).
+	ob *indexObs
 }
 
 // newSharded partitions items by the options' shard policy and builds
-// one engine per shard. All shards share one metrics registry (series
-// are distinguished by a shard label) but nothing else: trackers,
+// one engine per shard. All shards share one observability pipeline —
+// one metrics registry (series are distinguished by a shard label), one
+// slow-query log, one wide-event log — but nothing else: trackers,
 // structures, and caches are fully independent.
 func newSharded[Q, V, It any](p problem[Q, V, It], items []It, shards int, opts []Option) (*sharded[Q, V, It], error) {
 	if shards < 1 {
@@ -102,33 +105,35 @@ func newSharded[Q, V, It any](p problem[Q, V, It], items []It, shards int, opts 
 	}
 	s.rr = len(items) % shards
 
-	if o.metrics {
-		s.reg = obs.NewRegistry()
-		s.reg.NewGauge("topk_shards", "Shards in the partitioned index.",
-			obs.Label{Key: "index", Value: p.name}).Set(int64(shards))
-	}
 	s.shards = make([]*engine[Q, V, It], shards)
 	for sh, idxs := range parts {
 		sub := make([]It, len(idxs))
 		for j, i := range idxs {
 			sub[j] = items[i]
 		}
-		shOpts := make([]Option, len(opts), len(opts)+2)
-		copy(shOpts, opts)
-		shOpts = append(shOpts, withShardObs(s.reg, strconv.Itoa(sh)))
-		eng, err := newEngine(p, sub, shOpts)
+		eng, err := buildEngine(p, sub, o)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", sh, err)
 		}
 		s.shards[sh] = eng
 	}
+	s.observe()
 	return s, nil
 }
 
-// withShardObs marks an engine as one shard: metric series go to the
-// shared registry under a shard label.
-func withShardObs(reg *obs.Registry, label string) Option {
-	return func(o *Options) { o.obsReg = reg; o.shardLabel = label }
+// observe builds the index's one observability pipeline from its
+// options, with the topk_shards gauge on its registry, and attaches
+// every shard engine to it under its shard label. Built and restored
+// indexes both come through here.
+func (s *sharded[Q, V, It]) observe() {
+	s.ob = newIndexObs(s.p.name, s.opts)
+	if s.ob != nil && s.ob.reg != nil {
+		s.ob.reg.NewGauge("topk_shards", "Shards in the partitioned index.",
+			obs.Label{Key: "index", Value: s.p.name}).Set(int64(len(s.shards)))
+	}
+	for sh, e := range s.shards {
+		e.observe(s.ob, strconv.Itoa(sh))
+	}
 }
 
 // Len returns the number of live items across all shards.
@@ -451,9 +456,8 @@ func (s *sharded[Q, V, It]) ResetStats() {
 // series under its shard label, plus the topk_shards gauge — in
 // Prometheus text exposition format. It errors unless the index was
 // built WithMetrics.
-func (s *sharded[Q, V, It]) WriteMetrics(w io.Writer) error {
-	if s.reg == nil {
-		return fmt.Errorf("topk: metrics not enabled; build the index with WithMetrics()")
-	}
-	return s.reg.WritePrometheus(w)
-}
+func (s *sharded[Q, V, It]) WriteMetrics(w io.Writer) error { return s.ob.writeMetrics(w) }
+
+// slowQueries returns the index's one slow-query ring, every shard's
+// entries in one sequence, oldest first.
+func (s *sharded[Q, V, It]) slowQueries() []string { return s.ob.slowQueries() }

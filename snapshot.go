@@ -9,11 +9,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"topk/internal/core"
 	"topk/internal/dynamic"
-	"topk/internal/obs"
 	"topk/internal/snap"
 )
 
@@ -228,15 +226,31 @@ type overlayLevelBlob[It any] struct {
 	items []It
 }
 
-// restoreEngine decodes one engine snapshot stream and reconstructs the
-// engine. mk builds the problem descriptor from the decoded header (so
-// dimension-parameterized problems can size themselves from Header.Dim);
-// opts may layer runtime options (observability, shard labels) on top,
-// but the structural options — reduction, block size, memory, seed,
-// updates — always come from the snapshot. The reconstruction runs under
-// em.Tracker.RestoreAccounting, so the restored engine's Stats() show
-// the warm-start cost: ceil(snapshotBytes/8/B) sequential reads.
+// restoreEngine restores an index that is one engine from its snapshot
+// stream (decodeEngine) and gives it an observability pipeline of its
+// own.
 func restoreEngine[Q, V, It any](
+	mk func(snap.Header) (problem[Q, V, It], error),
+	rd io.Reader,
+	opts []Option,
+) (*engine[Q, V, It], error) {
+	e, err := decodeEngine(mk, rd, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.standalone(), nil
+}
+
+// decodeEngine decodes one engine snapshot stream and reconstructs the
+// engine, with no observability attached. mk builds the problem
+// descriptor from the decoded header (so dimension-parameterized problems
+// can size themselves from Header.Dim); opts may layer runtime options
+// (observability) on top, but the structural options — reduction, block
+// size, memory, seed, updates — always come from the snapshot. The
+// reconstruction runs under em.Tracker.RestoreAccounting, so the restored
+// engine's Stats() show the warm-start cost: ceil(snapshotBytes/8/B)
+// sequential reads.
+func decodeEngine[Q, V, It any](
 	mk func(snap.Header) (problem[Q, V, It], error),
 	rd io.Reader,
 	opts []Option,
@@ -476,8 +490,6 @@ func (e *engine[Q, V, It]) initOverlay(
 	}
 	e.topk, e.dyn = ov, ov
 	e.pri = core.PrioritizedOf(e.topk)
-	e.ob = newIndexObs(p.name, o, tracker)
-	e.ob.observeShape(e.n, e.dyn)
 	return nil
 }
 
@@ -643,8 +655,9 @@ func (s *sharded[Q, V, It]) snapDir(dir string) error {
 	return writeManifest(dir, mf)
 }
 
-// restoreEngineFile restores one engine from a shard file, verifying the
-// manifest's size and checksum before decoding.
+// restoreEngineFile decodes one engine from a shard file, verifying the
+// manifest's size and checksum first. The engine has no observability
+// attached yet.
 func restoreEngineFile[Q, V, It any](
 	mk func(snap.Header) (problem[Q, V, It], error),
 	dir string,
@@ -661,7 +674,7 @@ func restoreEngineFile[Q, V, It any](
 	if got := crc32.ChecksumIEEE(raw); got != entry.CRC32 {
 		return nil, fmt.Errorf("topk: shard file %s checksum %08x, manifest says %08x: snapshot is corrupt", entry.Name, got, entry.CRC32)
 	}
-	e, err := restoreEngine(mk, bytes.NewReader(raw), opts)
+	e, err := decodeEngine(mk, bytes.NewReader(raw), opts)
 	if err != nil {
 		return nil, fmt.Errorf("topk: shard file %s: %w", entry.Name, err)
 	}
@@ -688,11 +701,7 @@ func restoreSharded[Q, V, It any](
 	if mf.RR < 0 || mf.RR >= mf.Shards {
 		return nil, fmt.Errorf("topk: manifest round-robin cursor %d out of range [0, %d)", mf.RR, mf.Shards)
 	}
-	base := applyOptions(opts)
 	s := &sharded[Q, V, It]{owner: make(map[float64]int), rr: mf.RR}
-	if base.metrics {
-		s.reg = obs.NewRegistry()
-	}
 	s.shards = make([]*engine[Q, V, It], mf.Shards)
 	for _, entry := range mf.Files {
 		if entry.Shard < 0 || entry.Shard >= mf.Shards {
@@ -701,9 +710,9 @@ func restoreSharded[Q, V, It any](
 		if s.shards[entry.Shard] != nil {
 			return nil, fmt.Errorf("topk: manifest lists shard %d twice", entry.Shard)
 		}
-		shOpts := make([]Option, len(opts), len(opts)+2)
+		shOpts := make([]Option, len(opts), len(opts)+1)
 		copy(shOpts, opts)
-		shOpts = append(shOpts, WithShardPolicy(pol), withShardObs(s.reg, strconv.Itoa(entry.Shard)))
+		shOpts = append(shOpts, WithShardPolicy(pol))
 		e, err := restoreEngineFile(mk, dir, entry, shOpts)
 		if err != nil {
 			return nil, err
@@ -725,10 +734,7 @@ func restoreSharded[Q, V, It any](
 	s.p = s.shards[0].p
 	s.opts = s.shards[0].opts
 	s.opts.policy = pol
-	if s.reg != nil {
-		s.reg.NewGauge("topk_shards", "Shards in the partitioned index.",
-			obs.Label{Key: "index", Value: s.p.name}).Set(int64(mf.Shards))
-	}
+	s.observe()
 	return s, nil
 }
 
@@ -749,7 +755,7 @@ func restoreServedEngine[Q, V, It any](
 		if err != nil {
 			return nil, 0, err
 		}
-		return e, 1, nil
+		return e.standalone(), 1, nil
 	}
 	s, err := restoreSharded(mk, dir, mf, opts)
 	if err != nil {
@@ -774,7 +780,11 @@ func restoreShardEngine[Q, V, It any](
 	}
 	for _, entry := range mf.Files {
 		if entry.Shard == shard {
-			return restoreEngineFile(mk, dir, entry, opts)
+			e, err := restoreEngineFile(mk, dir, entry, opts)
+			if err != nil {
+				return nil, err
+			}
+			return e.standalone(), nil
 		}
 	}
 	return nil, fmt.Errorf("topk: snapshot %s has no shard %d (manifest lists %d shards)", dir, shard, mf.Shards)

@@ -68,7 +68,6 @@ import (
 
 	"topk/internal/dynamic"
 	"topk/internal/em"
-	"topk/internal/obs"
 )
 
 // Reduction selects how an index answers top-k queries.
@@ -171,11 +170,6 @@ type Options struct {
 	queryLogW io.Writer
 	policy    ShardPolicy
 	maintPol  MaintenancePolicy
-	// obsReg and shardLabel are set internally when an engine is built as
-	// one shard of a Sharded index: all shards register their metric
-	// series in the shared registry, distinguished by a shard="i" label.
-	obsReg     *obs.Registry
-	shardLabel string
 }
 
 // Option mutates Options.
@@ -229,10 +223,13 @@ func WithMaintenancePolicy(p MaintenancePolicy) Option {
 // with tracing off the hooks compile down to a single atomic load.
 func WithTracing() Option { return func(o *Options) { o.tracing = true } }
 
-// WithMetrics enables the index's metrics registry: atomic counters and
-// histograms (queries, latency, I/Os per query, Theorem 2 rounds per
-// query, cache hits, overlay shape, flush/rebuild totals), exported in
-// Prometheus text format through the index's WriteMetrics method.
+// WithMetrics enables the index's metrics registry: atomic counters
+// (queries, cache hits, flush/rebuild totals), gauges (overlay shape) and
+// log-bucketed summaries (latency, I/Os and Theorem 2 rounds per query,
+// with p50/p99/p999, _sum and _count), exported in Prometheus text format
+// through the index's WriteMetrics method. Every finished query is
+// observed once; a sharded index keeps one registry, in which each shard's
+// series carry a shard label.
 func WithMetrics() Option { return func(o *Options) { o.metrics = true } }
 
 // WithShardPolicy selects how a Sharded index assigns items to shards
@@ -240,9 +237,12 @@ func WithMetrics() Option { return func(o *Options) { o.metrics = true } }
 func WithShardPolicy(p ShardPolicy) Option { return func(o *Options) { o.policy = p } }
 
 // WithSlowQueryLog logs every query that costs at least minIOs simulated
-// I/Os: a summary line plus the query's full phase trace, written to w
-// (nil keeps entries only in an in-memory ring readable via the serving
-// surface). Implies per-query tracing on the batch path.
+// I/Os: a summary line plus the query's full phase trace. The index keeps
+// the newest entries in one in-memory ring (WithSlowLogKeep sizes it),
+// readable through Served.SlowQueries, and also writes each entry to w
+// unless w is nil. A sharded index has one log for all of its shards, so
+// w sees one entry at a time and need not be safe for concurrent use.
+// Implies per-query tracing on the batch path.
 func WithSlowQueryLog(w io.Writer, minIOs int64) Option {
 	return func(o *Options) { o.slowW = w; o.slowMin = minIOs }
 }
@@ -257,10 +257,10 @@ func WithSlowLogKeep(keep int) Option {
 // WithQueryLog emits one structured JSON "wide event" per query to w:
 // problem, query, k, latency, I/Os split by phase, cache hit rate, and —
 // when the query ran under a QueryCtx — its budget, deadline slack, and
-// outcome, all in a single newline-delimited row. Under a Sharded index
+// outcome, all in a single newline-delimited row. Under a sharded index
 // each shard emits its own row, distinguished by the shard field. The
-// writer is shared by concurrent query workers through a mutex; rows
-// never interleave.
+// index has one logger for all of its shards and query workers, which
+// writes one row at a time; rows never interleave.
 func WithQueryLog(w io.Writer) Option {
 	return func(o *Options) { o.queryLogW = w }
 }

@@ -19,7 +19,7 @@ import (
 //  2. observer effect: enabling tracing and metrics does not change any
 //     per-query I/O count;
 //  3. exposition: WriteMetrics emits a parseable Prometheus snapshot
-//     containing the topk_query_ios and topk_t2_rounds histograms.
+//     containing the topk_query_ios and topk_t2_rounds summaries.
 
 // checkTraces asserts the sum invariant over a batch's results and
 // returns the total number of depth-0 events seen.
@@ -49,7 +49,7 @@ func checkTraces[R any](t *testing.T, name string, results []BatchResult[R]) int
 }
 
 // checkMetrics asserts the index's Prometheus snapshot carries the two
-// query histograms with at least nq observations on the I/O one.
+// query summaries with at least nq observations on the I/O one.
 func checkMetrics(t *testing.T, name string, write func(io.Writer) error, nq int) {
 	t.Helper()
 	var b strings.Builder
@@ -58,7 +58,8 @@ func checkMetrics(t *testing.T, name string, write func(io.Writer) error, nq int
 	}
 	out := b.String()
 	for _, want := range []string{
-		"topk_query_ios_bucket{", "topk_t2_rounds_bucket{",
+		`topk_query_ios{index="` + name + `",quantile="0.99"}`,
+		`topk_t2_rounds{index="` + name + `",quantile="0.99"}`,
 		"topk_query_ios_count{", "topk_queries_total{",
 	} {
 		if !strings.Contains(out, want) {
@@ -68,7 +69,7 @@ func checkMetrics(t *testing.T, name string, write func(io.Writer) error, nq int
 	if !strings.Contains(out, `index="`+name+`"`) {
 		t.Fatalf("%s: metrics missing index label:\n%s", name, out)
 	}
-	// Every batch query must have been observed into the I/O histogram.
+	// Every batch query must have been observed into the I/O summary.
 	var count string
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "topk_query_ios_count{") {
