@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDynamicDominance -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzShardedInterval -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME) -run '^$$' .
+	$(GO) test -fuzz FuzzCollector -fuzztime $(FUZZTIME) ./internal/xsort/
 
 # Brief fuzz pass over just the oracle-diff targets: cheap enough for
 # every CI run, still long enough to shake out op-sequence bugs.
@@ -59,14 +60,15 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDynamicDominance -fuzztime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzShardedInterval -fuzztime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime 5s -run '^$$' .
+	$(GO) test -fuzz FuzzCollector -fuzztime 5s ./internal/xsort/
 
 # Coverage floors on the packages whose correctness the test pyramid leans
-# on: the dynamization overlay, the reduction framework, the snapshot
-# codec, the EM cost tracker, the cluster serving tier, and the root
-# package holding the problem-descriptor engine, registry, and
-# persistence layer.
+# on: the dynamization overlay, the reduction framework, the selection
+# primitives, the snapshot codec, the EM cost tracker, the cluster
+# serving tier, and the root package holding the problem-descriptor
+# engine, registry, and persistence layer.
 cover:
-	@for pkg in ./internal/dynamic ./internal/core ./internal/snap ./internal/em ./internal/cluster .; do \
+	@for pkg in ./internal/dynamic ./internal/core ./internal/xsort ./internal/snap ./internal/em ./internal/cluster .; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 		echo "$$pkg coverage: $$pct%"; \
 		awk -v p="$$pct" 'BEGIN { exit !(p >= 70) }' || { echo "FAIL: $$pkg coverage $$pct% is below the 70% floor"; exit 1; }; \

@@ -139,8 +139,19 @@ func LiftBall(b Ball) halfspace.Halfspace {
 }
 
 // Match is the predicate evaluator on lifted points, for the reductions.
+// It is LiftBall(q).Contains(p) evaluated in place, with no allocation
+// per test: the dot product accumulates in PtN.Dot's order and the
+// threshold is Σcᵢ² − r², so every comparison is bit-identical to the
+// lifted halfspace's.
 func Match(q Ball, p halfspace.PtN) bool {
-	return LiftBall(q).Contains(p)
+	d := len(q.Center)
+	dot, n2 := 0.0, 0.0
+	for i, c := range q.Center {
+		dot += 2 * c * p.C[i]
+		n2 += c * c
+	}
+	dot += -1 * p.C[d]
+	return dot >= n2-q.R*q.R
 }
 
 // Lambda returns the polynomial-boundedness exponent in dimension d:

@@ -47,6 +47,45 @@ func TestLiftEquivalence(t *testing.T) {
 	}
 }
 
+// TestMatchIsLiftedContains pins Match to LiftBall(q).Contains(p)
+// bit for bit, on random points and on points placed on the sphere, where
+// the outcome turns on the last bit of rounding, and requires that Match
+// allocates nothing.
+func TestMatchIsLiftedContains(t *testing.T) {
+	g := wrand.New(11)
+	for _, d := range []int{1, 2, 3, 5} {
+		for trial := 0; trial < 500; trial++ {
+			b := randBall(g, d)
+			u := make([]float64, d)
+			norm := 0.0
+			for j := range u {
+				u[j] = g.NormFloat64()
+				norm += u[j] * u[j]
+			}
+			onSphere, random, axis := make([]float64, d), make([]float64, d), make([]float64, d)
+			copy(axis, b.Center)
+			axis[trial%d] += b.R
+			for j := range u {
+				onSphere[j] = b.Center[j] + b.R*u[j]/math.Sqrt(norm)
+				random[j] = g.NormFloat64() * 10
+			}
+			for _, pt := range [][]float64{onSphere, random, axis} {
+				p := Lift(pt)
+				if got, want := Match(b, p), LiftBall(b).Contains(p); got != want {
+					t.Fatalf("d=%d: Match(%+v, %v) = %v, LiftBall form %v", d, b, pt, got, want)
+				}
+			}
+		}
+	}
+	b, p := Ball{Center: []float64{1, 1}, R: 5}, Lift([]float64{4, 5})
+	if !Match(b, p) {
+		t.Fatal("boundary point (4,5) excluded from the radius-5 ball around (1,1)")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Match(b, p) }); allocs != 0 {
+		t.Fatalf("Match allocates %v objects per call, want 0", allocs)
+	}
+}
+
 func TestLiftUnliftRoundTrip(t *testing.T) {
 	p := []float64{3, -4, 5}
 	l := Lift(p)

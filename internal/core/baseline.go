@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"topk/internal/em"
-	"topk/internal/xsort"
 )
 
 // This file implements the comparators the paper measures itself against:
@@ -75,7 +74,7 @@ func (b *Baseline[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 		if b.tracker != nil {
 			b.tracker.ScanCost(v, 1) // the rank→weight array probe
 		}
-		_, complete := CollectAtMost(v, b.pri, q, b.weights[r-1], k-1)
+		_, _, complete := CollectTop(v, b.pri, q, b.weights[r-1], k-1, 0)
 		return !complete
 	}
 	lo, hi := 1, n
@@ -87,20 +86,19 @@ func (b *Baseline[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 			lo = mid + 1
 		}
 	}
-	var cand []Item[V]
+	tau := math.Inf(-1) // |q(D)| < k: report everything
 	if atLeastK(lo) {
 		// Minimality of lo gives |{e ∈ q(D) : w(e) ≥ weights[lo-1]}| = k
 		// exactly (lowering the threshold by one global rank adds at most
 		// one element).
-		cand, _ = CollectAtMost(v, b.pri, q, b.weights[lo-1], k)
-	} else {
-		// |q(D)| < k: report everything.
-		cand = CollectAll(v, b.pri, q, math.Inf(-1))
+		tau = b.weights[lo-1]
 	}
+	// The limit n never cuts the query off: it reports at most n items.
+	top, cnt, _ := CollectTop(v, b.pri, q, tau, n, k)
 	if b.tracker != nil {
-		b.tracker.ScanCost(v, len(cand))
+		b.tracker.ScanCost(v, cnt)
 	}
-	return TopKOf(cand, k)
+	return top
 }
 
 // Scan is the trivial structure: no index, answer every query by scanning
@@ -124,13 +122,7 @@ func (s *Scan[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 	if s.tracker != nil {
 		s.tracker.ScanCost(v, len(s.items))
 	}
-	col := xsort.NewCollector(k, LessItems[V])
-	for _, it := range s.items {
-		if s.match(q, it.Value) {
-			col.Offer(it)
-		}
-	}
-	return col.Items()
+	return scanTop(s.items, s.match, q, k)
 }
 
 // ReportAbove scans D and filters.

@@ -126,7 +126,8 @@ type DynamicMaxFactory[Q, V any] func(items []Item[V]) DynamicMax[Q, V]
 // limit+1 elements have been reported. It returns the collected items
 // (at most limit+1) and whether the query terminated by itself, i.e.
 // complete == true means the returned items are all of {e ∈ q(D) :
-// w(e) ≥ tau}.
+// w(e) ≥ tau}. Callers that only k-select the items use CollectTop,
+// which never holds more than the ones they keep.
 func CollectAtMost[Q, V any](v *em.QueryView, p Prioritized[Q, V], q Q, tau float64, limit int) (items []Item[V], complete bool) {
 	complete = true
 	p.ReportAbove(v, q, tau, func(it Item[V]) bool {
@@ -138,6 +139,41 @@ func CollectAtMost[Q, V any](v *em.QueryView, p Prioritized[Q, V], q Q, tau floa
 		return true
 	})
 	return items, complete
+}
+
+// CollectTop is the cost-monitored prioritized query for callers that go
+// on to k-select what it reports (Sections 3.2 and 4): the query is cut
+// off once limit+1 elements have been reported, and n counts the elements
+// streamed, at most limit+1. When the query terminated by itself
+// (complete), top holds the want heaviest of them, weight-descending; an
+// aborted query returns no items, since its callers discard them. Only
+// the want best are ever held: the query's cost is charged per element
+// streamed, not per element kept.
+func CollectTop[Q, V any](v *em.QueryView, p Prioritized[Q, V], q Q, tau float64, limit, want int) (top []Item[V], n int, complete bool) {
+	col := xsort.NewCollector(min(want, limit), LessItems[V])
+	p.ReportAbove(v, q, tau, func(it Item[V]) bool {
+		if n++; n > limit {
+			return false
+		}
+		col.Offer(it)
+		return true
+	})
+	if n > limit {
+		return nil, n, false
+	}
+	return col.Items(), n, true
+}
+
+// scanTop k-selects the items of a scanned batch that satisfy q, the
+// paper's "read the whole D" answer, weight-descending.
+func scanTop[Q, V any](items []Item[V], match MatchFunc[Q, V], q Q, k int) []Item[V] {
+	col := xsort.NewCollector(k, LessItems[V])
+	for _, it := range items {
+		if match(q, it.Value) {
+			col.Offer(it)
+		}
+	}
+	return col.Items()
 }
 
 // CollectAll drains a prioritized query with no cap.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"topk/internal/em"
@@ -122,6 +123,45 @@ func TestCollectAtMost(t *testing.T) {
 	got, complete = CollectAtMost[span, float64](nil, p, q, math.Inf(-1), 4)
 	if !complete || len(got) != 4 {
 		t.Fatalf("limit=n: complete=%v len=%d, want true,4", complete, len(got))
+	}
+}
+
+// TestCollectTop pins the cost monitor's boundaries: a stream of exactly
+// limit items completes, limit+1 aborts after counting the extra item and
+// returns no items, and the kept items are the want heaviest, also when
+// want exceeds what the limit lets through.
+func TestCollectTop(t *testing.T) {
+	items := []Item[float64]{{1, 10}, {2, 40}, {3, 20}, {4, 30}}
+	p := newNaive(items)
+	q := span{0, 100}
+	weights := func(top []Item[float64]) []float64 {
+		var ws []float64
+		for _, it := range top {
+			ws = append(ws, it.Weight)
+		}
+		return ws
+	}
+	cases := []struct {
+		tau         float64
+		limit, want int
+		n           int
+		complete    bool
+		top         []float64
+	}{
+		{math.Inf(-1), 4, 2, 4, true, []float64{40, 30}},         // exactly limit
+		{math.Inf(-1), 3, 2, 4, false, nil},                      // limit+1: abort
+		{math.Inf(-1), 0, 0, 1, false, nil},                      // count-only abort
+		{math.Inf(-1), 5, 9, 4, true, []float64{40, 30, 20, 10}}, // want > limit+1
+		{25, 2, 9, 2, true, []float64{40, 30}},                   // τ-cut, exactly limit
+		{25, 1, 1, 2, false, nil},                                // τ-cut, limit+1
+		{50, 0, 3, 0, true, nil},                                 // empty stream
+	}
+	for _, c := range cases {
+		top, n, complete := CollectTop[span, float64](nil, p, q, c.tau, c.limit, c.want)
+		if n != c.n || complete != c.complete || !slices.Equal(weights(top), c.top) {
+			t.Errorf("CollectTop(τ=%v, limit=%d, want=%d) = %v, %d, %v; want %v, %d, %v",
+				c.tau, c.limit, c.want, weights(top), n, complete, c.top, c.n, c.complete)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"topk/internal/em"
 	"topk/internal/wrand"
-	"topk/internal/xsort"
 )
 
 // This file implements the Theorem 2 reduction (Section 4): combining a
@@ -316,13 +315,13 @@ func (e *Expected[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 
 		// Step 1: if |q(D)| ≤ 4K_j the cost-monitored query solves it.
 		sp := tr.BeginSpan(v)
-		cand, complete := CollectAtMost(v, e.pri, q, math.Inf(-1), cap4K)
-		tr.EndSpan(v, sp, probePhase(complete), j, int64(len(cand)))
+		top, cnt, complete := CollectTop(v, e.pri, q, math.Inf(-1), cap4K, k)
+		tr.EndSpan(v, sp, probePhase(complete), j, int64(cnt))
 		if complete {
-			e.chargeScan(v, len(cand))
+			e.chargeScan(v, cnt)
 			tr.EndSpan(v, rsp, PhaseT2RoundDirect, j, int64(rounds))
 			e.finishRounds(rounds)
-			return TopKOf(cand, k)
+			return top
 		}
 
 		// Step 2: heaviest sampled element in q(R_j).
@@ -341,20 +340,20 @@ func (e *Expected[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 
 		// Step 3: cost-monitored harvest above τ.
 		sp = tr.BeginSpan(v)
-		s, complete := CollectAtMost(v, e.pri, q, tau, cap4K)
-		tr.EndSpan(v, sp, harvestPhase(complete), j, int64(len(s)))
+		top, cnt, complete = CollectTop(v, e.pri, q, tau, cap4K, k)
+		tr.EndSpan(v, sp, harvestPhase(complete), j, int64(cnt))
 
-		// Step 4: failure tests.
-		if !complete || len(s) <= int(lvl.k) {
+		// Step 4: failure tests on |S| = cnt.
+		if !complete || cnt <= int(lvl.k) {
 			tr.EndSpan(v, rsp, PhaseT2RoundFail, j, int64(rounds))
 			continue
 		}
 
-		// Step 5: success — k-selection over S.
-		e.chargeScan(v, len(s))
+		// Step 5: success — k-selection over S, which CollectTop did.
+		e.chargeScan(v, cnt)
 		tr.EndSpan(v, rsp, PhaseT2RoundOK, j, int64(rounds))
 		e.finishRounds(rounds)
-		return TopKOf(s, k)
+		return top
 	}
 
 	// Step 6(b): ladder exhausted; read the whole D.
@@ -394,13 +393,7 @@ func (e *Expected[Q, V]) finishRounds(r int) {
 
 func (e *Expected[Q, V]) scanTopK(v *em.QueryView, q Q, k int) []Item[V] {
 	e.chargeScan(v, len(e.items))
-	col := xsort.NewCollector(k, LessItems[V])
-	for _, it := range e.items {
-		if e.match(q, it.Value) {
-			col.Offer(it)
-		}
-	}
-	return col.Items()
+	return scanTop(e.items, e.match, q, k)
 }
 
 func (e *Expected[Q, V]) chargeScan(v *em.QueryView, nItems int) {

@@ -16,14 +16,16 @@ const (
 	// PhaseT1ProbeOK / PhaseT1ProbeAbort are the cost-monitored
 	// prioritized query of §3.2 step 1: OK means it terminated by itself
 	// (|q(R)| within budget), Abort means the cost monitor cut it off
-	// after limit+1 items. Arg = items collected.
+	// after limit+1 items. Arg = items streamed (at most limit+1; only
+	// the ones the caller returns are kept).
 	PhaseT1ProbeOK    = "t1.probe.ok"
 	PhaseT1ProbeAbort = "t1.probe.abort"
 	// PhaseT1Harvest is the above-pivot harvest plus its k-selection.
 	// Arg = items streamed.
 	PhaseT1Harvest = "t1.harvest"
 	// PhaseT1Fallback is the exhaustive repair run after a self-check
-	// caught a bad sample. Arg = items streamed.
+	// caught a bad sample. Arg = the rank the failed step had to deliver
+	// (f on the chain, k on the large-k ladder).
 	PhaseT1Fallback = "t1.fallback"
 
 	// Theorem 2 (Expected) phases.
@@ -49,7 +51,7 @@ const (
 	// PhaseT2Max is step 2's max-structure probe on the sample R_j.
 	PhaseT2Max = "t2.max"
 	// PhaseT2HarvestOK / PhaseT2HarvestAbort are step 3's cost-monitored
-	// harvest above τ. Arg = items collected.
+	// harvest above τ. Arg = items streamed.
 	PhaseT2HarvestOK    = "t2.harvest.ok"
 	PhaseT2HarvestAbort = "t2.harvest.abort"
 	// PhaseT2Rebuild is the dynamic path's full rebuild (shared-path

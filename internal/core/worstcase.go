@@ -6,7 +6,6 @@ import (
 
 	"topk/internal/em"
 	"topk/internal/wrand"
-	"topk/internal/xsort"
 )
 
 // This file implements the Theorem 1 reduction (Section 3.2): from any
@@ -240,13 +239,10 @@ func (w *WorstCase[Q, V]) TopK(v *em.QueryView, q Q, k int) []Item[V] {
 	if k >= n/2 {
 		return w.tracedScanTopK(v, q, k)
 	}
-	// k ≤ f: answer as a top-f query followed by k-selection.
+	// k ≤ f: answer as a top-f query followed by k-selection, keeping
+	// only the k best.
 	if k <= w.f {
-		top := w.chain.topF(v, q)
-		if k < len(top) {
-			top = top[:k]
-		}
-		return top
+		return w.chain.query(v, q, 0, k)
 	}
 	return w.largeK(v, q, k)
 }
@@ -273,23 +269,24 @@ func (w *WorstCase[Q, V]) largeK(v *em.QueryView, q Q, k int) []Item[V] {
 
 	// If |q(D)| ≤ 4K, a cost-monitored prioritized query solves it.
 	sp := tr.BeginSpan(v)
-	cand, complete := CollectAtMost(v, priD, q, math.Inf(-1), 4*bigK)
-	tr.EndSpan(v, sp, t1ProbePhase(complete), -1, int64(len(cand)))
+	top, cnt, complete := CollectTop(v, priD, q, math.Inf(-1), 4*bigK, k)
+	tr.EndSpan(v, sp, t1ProbePhase(complete), -1, int64(cnt))
 	if complete {
-		w.chargeScan(v, len(cand))
-		return TopKOf(cand, k)
+		w.chargeScan(v, cnt)
+		return top
 	}
 
 	// |q(D)| > 4K: fetch the pivot from the core-set R[i] via its top-f
-	// structure, then harvest from D above the pivot's weight.
-	chain := w.ladder[i]
+	// structure, then harvest from D above the pivot's weight. Only the
+	// pivot is read, so the chain keeps its r best; a rank beyond f fails
+	// the check below, as the full top-f answer would.
 	r := pivotRank(n, w.opts.Lambda)
-	top := chain.topF(v, q)
-	if len(top) < r {
+	sub := w.ladder[i].query(v, q, 0, min(r, w.f))
+	if len(sub) < r {
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(v, priD, q, k)
+		return w.tracedExhaustive(v, priD, q, k, k)
 	}
-	pivot := top[r-1].Weight
+	pivot := sub[r-1].Weight
 	sp = tr.BeginSpan(v)
 	got, cnt := w.harvest(v, priD, q, pivot, k)
 	tr.EndSpan(v, sp, PhaseT1Harvest, -1, int64(cnt))
@@ -297,7 +294,7 @@ func (w *WorstCase[Q, V]) largeK(v *em.QueryView, q Q, k int) []Item[V] {
 		// The pivot landed above rank k in q(D) (sample failure): the
 		// harvested set may miss part of the answer.
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(v, priD, q, k)
+		return w.tracedExhaustive(v, priD, q, k, k)
 	}
 	return got
 }
@@ -311,9 +308,13 @@ func (w *WorstCase[Q, V]) tracedScanTopK(v *em.QueryView, q Q, k int) []Item[V] 
 	return res
 }
 
-func (w *WorstCase[Q, V]) tracedExhaustive(v *em.QueryView, p Prioritized[Q, V], q Q, k int) []Item[V] {
+// The exhaustive fallback drains the prioritized structure with τ = −∞:
+// correct unconditionally, and run only on sample failures. Its span's
+// Arg is k, the rank the failed step had to deliver; only the want ≤ k
+// best are kept.
+func (w *WorstCase[Q, V]) tracedExhaustive(v *em.QueryView, p Prioritized[Q, V], q Q, k, want int) []Item[V] {
 	sp := w.opts.Tracker.BeginSpan(v)
-	res := w.exhaustive(v, p, q, k)
+	res, _ := w.harvest(v, p, q, math.Inf(-1), want)
 	w.opts.Tracker.EndSpan(v, sp, PhaseT1Fallback, -1, int64(k))
 	return res
 }
@@ -325,24 +326,25 @@ func t1ProbePhase(complete bool) string {
 	return PhaseT1ProbeAbort
 }
 
-// topF answers a top-f query on the chain (the inductive algorithm of
-// §3.2), returning min(f, |q(R_0)|) items weight-descending.
-func (c *topfChain[Q, V]) topF(v *em.QueryView, q Q) []Item[V] {
-	return c.query(v, q, 0)
-}
-
-// query wraps one level's work in its PhaseT1Level trace span; the
-// level's probe/harvest/fallback spans (and the recursive deeper levels)
-// nest inside it, so a query's depth-0 spans partition its total cost.
-func (c *topfChain[Q, V]) query(v *em.QueryView, q Q, j int) []Item[V] {
+// query answers a top-f query on the chain from level j (the inductive
+// algorithm of §3.2) and returns the want ≤ f heaviest of its answer,
+// weight-descending: min(want, |q(R_j)|) items. Every step tests the
+// counts the full top-f query tests (items streamed against 4f, the
+// harvest against f, the level below against the pivot rank r), so want
+// changes only what is kept, never the path, the charges or the spans.
+//
+// It wraps the level's work in its PhaseT1Level trace span; the level's
+// probe/harvest/fallback spans (and the recursive deeper levels) nest
+// inside it, so a query's depth-0 spans partition its total cost.
+func (c *topfChain[Q, V]) query(v *em.QueryView, q Q, j, want int) []Item[V] {
 	w := c.owner
 	sp := w.opts.Tracker.BeginSpan(v)
-	res := c.queryLevel(v, q, j)
+	res := c.queryLevel(v, q, j, want)
 	w.opts.Tracker.EndSpan(v, sp, PhaseT1Level, j, int64(len(c.levels[j].items)))
 	return res
 }
 
-func (c *topfChain[Q, V]) queryLevel(v *em.QueryView, q Q, j int) []Item[V] {
+func (c *topfChain[Q, V]) queryLevel(v *em.QueryView, q Q, j, want int) []Item[V] {
 	w := c.owner
 	tr := w.opts.Tracker
 	lvl := c.levels[j]
@@ -350,41 +352,33 @@ func (c *topfChain[Q, V]) queryLevel(v *em.QueryView, q Q, j int) []Item[V] {
 	if j == len(c.levels)-1 {
 		w.qstats.chainScans.Add(1)
 		w.chargeScan(v, len(lvl.items))
-		var hit []Item[V]
-		for _, it := range lvl.items {
-			if w.match(q, it.Value) {
-				hit = append(hit, it)
-			}
-		}
-		return TopKOf(hit, c.f)
+		return scanTop(lvl.items, w.match, q, want)
 	}
 
 	// |q(R_j)| ≤ 4f ⇒ the cost-monitored query solves it directly.
 	sp := tr.BeginSpan(v)
-	cand, complete := CollectAtMost(v, lvl.pri, q, math.Inf(-1), 4*c.f)
-	tr.EndSpan(v, sp, t1ProbePhase(complete), j, int64(len(cand)))
+	top, n, complete := CollectTop(v, lvl.pri, q, math.Inf(-1), 4*c.f, want)
+	tr.EndSpan(v, sp, t1ProbePhase(complete), j, int64(n))
 	if complete {
-		w.chargeScan(v, len(cand))
-		return TopKOf(cand, c.f)
+		w.chargeScan(v, n)
+		return top
 	}
 
-	// |q(R_j)| > 4f: recurse for the pivot, then harvest above it.
-	r := pivotRank(len(lvl.items), c.lambda)
-	if r > c.f {
-		r = c.f // Eq. (11) guarantees r ≤ f; clamp for degenerate params
-	}
-	sub := c.query(v, q, j+1)
+	// |q(R_j)| > 4f: recurse for the pivot, then harvest above it. Eq.
+	// (11) guarantees r ≤ f; the clamp covers degenerate parameters.
+	r := min(pivotRank(len(lvl.items), c.lambda), c.f)
+	sub := c.query(v, q, j+1, r)
 	if len(sub) < r {
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(v, lvl.pri, q, c.f)
+		return w.tracedExhaustive(v, lvl.pri, q, c.f, want)
 	}
 	pivot := sub[r-1].Weight
 	sp = tr.BeginSpan(v)
-	got, cnt := w.harvest(v, lvl.pri, q, pivot, c.f)
+	got, cnt := w.harvest(v, lvl.pri, q, pivot, want)
 	tr.EndSpan(v, sp, PhaseT1Harvest, j, int64(cnt))
 	if cnt < c.f {
 		w.qstats.fallbacks.Add(1)
-		return w.tracedExhaustive(v, lvl.pri, q, c.f)
+		return w.tracedExhaustive(v, lvl.pri, q, c.f, want)
 	}
 	return got
 }
@@ -405,45 +399,20 @@ func pivotRank(n int, lambda float64) int {
 	return r
 }
 
-// harvest streams every element of q(·) with weight ≥ pivot through a
-// k-bounded collector. It returns the top-k of that set (weight-descending)
-// and the total number streamed; cnt < k signals that the pivot was too
-// high (a sample failure the caller must repair).
-func (w *WorstCase[Q, V]) harvest(v *em.QueryView, p Prioritized[Q, V], q Q, pivot float64, k int) (top []Item[V], cnt int) {
-	col := xsort.NewCollector(k, LessItems[V])
-	p.ReportAbove(v, q, pivot, func(it Item[V]) bool {
-		col.Offer(it)
-		cnt++
-		return true
-	})
+// harvest streams every element of q(·) with weight ≥ pivot and keeps
+// the want best. It returns those (weight-descending) and the total number
+// streamed; a count below the rank the caller needs signals that the pivot
+// was too high (a sample failure the caller must repair).
+func (w *WorstCase[Q, V]) harvest(v *em.QueryView, p Prioritized[Q, V], q Q, pivot float64, want int) (top []Item[V], cnt int) {
+	top, cnt, _ = CollectTop(v, p, q, pivot, math.MaxInt, want)
 	w.chargeScan(v, cnt) // k-selection over the harvested batch
-	return col.Items(), cnt
-}
-
-// exhaustive answers top-k by draining the prioritized structure with
-// τ = −∞. Correct unconditionally; used only on sample failures.
-func (w *WorstCase[Q, V]) exhaustive(v *em.QueryView, p Prioritized[Q, V], q Q, k int) []Item[V] {
-	col := xsort.NewCollector(k, LessItems[V])
-	n := 0
-	p.ReportAbove(v, q, math.Inf(-1), func(it Item[V]) bool {
-		col.Offer(it)
-		n++
-		return true
-	})
-	w.chargeScan(v, n)
-	return col.Items()
+	return top, cnt
 }
 
 // scanTopK answers by scanning all of D (the k ≥ n/2 path).
 func (w *WorstCase[Q, V]) scanTopK(v *em.QueryView, q Q, k int) []Item[V] {
 	w.chargeScan(v, len(w.items))
-	col := xsort.NewCollector(k, LessItems[V])
-	for _, it := range w.items {
-		if w.match(q, it.Value) {
-			col.Offer(it)
-		}
-	}
-	return col.Items()
+	return scanTop(w.items, w.match, q, k)
 }
 
 func (w *WorstCase[Q, V]) chargeScan(v *em.QueryView, nItems int) {

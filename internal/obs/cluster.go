@@ -52,7 +52,7 @@ func NewClusterMetrics(reg *Registry) *ClusterMetrics {
 		Unavailable: reg.NewCounter("topk_replica_unavailable_total",
 			"Queries failed because some shard's whole replica group did not answer."),
 		ShardLatency: reg.NewLogHistogram("topk_cluster_shard_latency_seconds",
-			"Wall latency of successful per-shard replica requests.", 1e-9),
+			"Wall latency of successful per-shard replica requests.", 1e9),
 		ShardIOs: reg.NewLogHistogram("topk_cluster_shard_ios",
 			"Simulated I/Os reported per shard request (sum over the request's queries).", 1),
 		HedgeDelayUS: reg.NewGauge("topk_hedge_delay_us",

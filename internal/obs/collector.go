@@ -67,7 +67,7 @@ func NewQueryMetrics(r *Registry, index string, extra ...Label) *QueryMetrics {
 			"Top-k queries served.", ls...),
 		Latency: r.NewLogHistogram("topk_query_latency_seconds",
 			"Wall-clock latency per top-k query (log-bucketed summary, ≤3.2% relative error).",
-			1e-9, ls...),
+			1e9, ls...),
 		IOs: r.NewLogHistogram("topk_query_ios",
 			"Counted EM I/Os (reads+writes) per top-k query (log-bucketed summary).", 1, ls...),
 		Rounds: r.NewLogHistogram("topk_t2_rounds",

@@ -91,7 +91,7 @@ func TestLogHistogramNegativeClampsToZero(t *testing.T) {
 // garbage — the scrape a fresh server answers before its first query.
 func TestLogHistogramZeroQueryRender(t *testing.T) {
 	r := NewRegistry()
-	r.NewLogHistogram("idle_latency_seconds", "never observed", 1e-9, Label{Key: "index", Value: "iv"})
+	r.NewLogHistogram("idle_latency_seconds", "never observed", 1e9, Label{Key: "index", Value: "iv"})
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestLogHistogramZeroQueryRender(t *testing.T) {
 
 func TestLogHistogramScaleAtExport(t *testing.T) {
 	r := NewRegistry()
-	lh := r.NewLogHistogram("lat_seconds", "", 1e-9)
+	lh := r.NewLogHistogram("lat_seconds", "", 1e9)
 	lh.Observe(2_000_000_000) // 2s in ns
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

@@ -45,6 +45,34 @@ lat_count 1
 	}
 }
 
+// TestPrometheusScaledSummaryDigits: a summary fed nanoseconds and
+// exported in seconds prints each value as the exact decimal of its
+// nanoseconds, with no binary noise digits: 1,802,239 ns renders as
+// 0.001802239, never 0.0018022390000000002. A whole number of
+// nanoseconds has at most 9 digits after the point.
+func TestPrometheusScaledSummaryDigits(t *testing.T) {
+	r := NewRegistry()
+	lh := r.NewLogHistogram("lat_seconds", "", 1e9)
+	lh.Observe(1_802_239)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "\nlat_seconds_sum 0.001802239\n") {
+		t.Errorf("_sum is not the exact decimal 0.001802239:\n%s", out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		v := line[strings.LastIndexByte(line, ' ')+1:]
+		if dot := strings.IndexByte(v, '.'); dot >= 0 && len(v)-dot-1 > 9 {
+			t.Errorf("%q carries digits below a nanosecond", line)
+		}
+	}
+}
+
 // TestCollectorConcurrentLifecycle hammers the full observation surface —
 // query traces, shared events, lazy per-phase registration, scrapes —
 // from many goroutines so the race detector can inspect the summary and

@@ -45,7 +45,7 @@ type series struct {
 	g      *Gauge
 	gf     func() float64
 	lh     *LogHistogram
-	scale  float64 // multiplies lh values at export (e.g. 1e-9 ns→s)
+	unit   float64 // divides lh values at export (e.g. 1e9 ns→s)
 }
 
 // family groups all series sharing a metric name; HELP/TYPE are emitted
@@ -119,15 +119,18 @@ func (r *Registry) NewGaugeFunc(name, help string, f func() float64, labels ...L
 
 // NewLogHistogram registers a LogHistogram exported as a Prometheus
 // summary: quantile lines for φ ∈ {0.5, 0.99, 0.999} plus _sum and
-// _count. scale multiplies observed values at export time so a histogram
-// fed nanoseconds can expose seconds (scale 1e-9); pass 1 for unit
-// values such as I/Os.
-func (r *Registry) NewLogHistogram(name, help string, scale float64, labels ...Label) *LogHistogram {
-	if scale == 0 {
-		scale = 1
+// _count. Observed values are divided by unit at export time, so a
+// histogram fed nanoseconds exposes seconds with unit 1e9; pass 1 for
+// plain counts such as I/Os. Dividing by an exact power of ten gives the
+// correctly rounded quotient, which prints with no noise digits
+// (1802239 ns → 0.001802239), where multiplying by the inexact 1e-9
+// would not.
+func (r *Registry) NewLogHistogram(name, help string, unit float64, labels ...Label) *LogHistogram {
+	if unit == 0 {
+		unit = 1
 	}
 	lh := NewLogHistogram()
-	r.register(name, help, kindSummary, &series{labels: sortLabels(labels), lh: lh, scale: scale})
+	r.register(name, help, kindSummary, &series{labels: sortLabels(labels), lh: lh, unit: unit})
 	return lh
 }
 
@@ -163,9 +166,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindSummary:
 				for _, q := range summaryQuantiles {
 					ql := Label{Key: "quantile", Value: formatFloat(q)}
-					writeSample(&b, f.name, append(s.labels[:len(s.labels):len(s.labels)], ql), "", float64(s.lh.Quantile(q))*s.scale)
+					writeSample(&b, f.name, append(s.labels[:len(s.labels):len(s.labels)], ql), "", float64(s.lh.Quantile(q))/s.unit)
 				}
-				writeSample(&b, f.name+"_sum", s.labels, "", float64(s.lh.Sum())*s.scale)
+				writeSample(&b, f.name+"_sum", s.labels, "", float64(s.lh.Sum())/s.unit)
 				writeSample(&b, f.name+"_count", s.labels, "", float64(s.lh.Count()))
 			}
 		}

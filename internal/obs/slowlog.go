@@ -42,9 +42,11 @@ func (l *SlowQueryLog) Total() int64 {
 	return l.total
 }
 
-// SlowMeta carries the request-lifecycle context of one slow query into
-// its log entry: the budget and deadline it ran under and how it ended.
+// SlowMeta carries the context of one slow query into its log entry: the
+// shard that ran it, the budget and deadline it ran under and how it
+// ended.
 type SlowMeta struct {
+	Shard       string        // shard label; "" for an index of one engine
 	Outcome     string        // "ok", "degraded", "budget_exceeded", "deadline_exceeded"
 	Budget      int64         // I/O budget in force; 0 = unbudgeted
 	Slack       time.Duration // deadline minus completion time (negative = blown)
@@ -59,8 +61,12 @@ type SlowMeta struct {
 // released on the way out.
 func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats, events []em.TraceEvent, meta SlowMeta) {
 	var b strings.Builder
-	fmt.Fprintf(&b, "slow query index=%s ios=%d reads=%d writes=%d hits=%d latency=%s",
-		index, st.IOs(), st.Reads, st.Writes, st.Hits, d)
+	fmt.Fprintf(&b, "slow query index=%s", index)
+	if meta.Shard != "" {
+		fmt.Fprintf(&b, " shard=%s", meta.Shard)
+	}
+	fmt.Fprintf(&b, " ios=%d reads=%d writes=%d hits=%d latency=%s",
+		st.IOs(), st.Reads, st.Writes, st.Hits, d)
 	if meta.Outcome == "" {
 		meta.Outcome = "ok"
 	}

@@ -1,14 +1,14 @@
 // Package xsort implements the selection primitives that the paper's query
 // algorithms invoke as black boxes: "k-selection" (pick the k largest out
-// of an unordered batch, Sections 3.2 and 4), rank selection, and a bounded
-// streaming top-k collector.
+// of an unordered batch, Sections 3.2 and 4) and a bounded streaming
+// top-k collector.
 //
 // In the EM model, k-selection on m elements costs O(m/B) I/Os (a constant
 // number of scans); callers charge that via em.Tracker.ScanCost. Here we
 // implement the in-memory computation.
 package xsort
 
-import "sort"
+import "slices"
 
 // SelectTopK partitions s in place so that its first min(k, len(s))
 // elements are the k "largest" under less (where less(a, b) means a orders
@@ -28,46 +28,17 @@ func SelectTopK[T any](s []T, k int, less func(a, b T) bool) []T {
 	return s[:k]
 }
 
-// TopKSorted returns the k best elements of s under less, in best-first
-// order, without modifying s.
-func TopKSorted[T any](s []T, k int, less func(a, b T) bool) []T {
-	if k <= 0 {
-		return nil
-	}
-	cp := make([]T, len(s))
-	copy(cp, s)
-	top := SelectTopK(cp, k, less)
-	sort.Slice(top, func(i, j int) bool { return less(top[i], top[j]) })
-	return top
-}
-
 // SortPrefix sorts the first k elements of s best-first under less.
 func SortPrefix[T any](s []T, k int, less func(a, b T) bool) {
-	if k > len(s) {
-		k = len(s)
-	}
-	p := s[:k]
-	sort.Slice(p, func(i, j int) bool { return less(p[i], p[j]) })
-}
-
-// SelectRank rearranges s so that the element with 1-based rank r under
-// less (rank 1 = best) is at s[r-1], and returns it. It panics if r is out
-// of [1, len(s)].
-func SelectRank[T any](s []T, r int, less func(a, b T) bool) T {
-	if r < 1 || r > len(s) {
-		panic("xsort: SelectRank rank out of range")
-	}
-	quickselect(s, r, less)
-	// After quickselect(s, r) the first r elements are the r best; the
-	// rank-r one is the worst among them.
-	worst := 0
-	for i := 1; i < r; i++ {
-		if less(s[worst], s[i]) {
-			worst = i
+	slices.SortFunc(s[:min(k, len(s))], func(a, b T) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
 		}
-	}
-	s[worst], s[r-1] = s[r-1], s[worst]
-	return s[r-1]
+		return 0
+	})
 }
 
 // quickselect rearranges s so s[:k] holds the k best elements under less.
@@ -99,7 +70,7 @@ func quickselect[T any](s []T, k int, less func(a, b T) bool) {
 			return // boundary falls inside the pivot-equal run
 		}
 	}
-	insertionPrefix(s, lo, hi, min(k, hi), less)
+	insertionSort(s[lo:hi], less)
 }
 
 func medianOfThree[T any](s []T, lo, hi int, less func(a, b T) bool) T {
@@ -110,107 +81,76 @@ func medianOfThree[T any](s []T, lo, hi int, less func(a, b T) bool) T {
 	if less(c, b) {
 		b = c
 		if less(b, a) {
-			a, b = b, a
+			b = a
 		}
 	}
-	_ = a
 	return b
 }
 
-// insertionPrefix sorts s[lo:hi] far enough that s[lo:k] holds the best
-// elements; for the tiny ranges left by quickselect a full insertion sort
-// is simplest and fast.
-func insertionPrefix[T any](s []T, lo, hi, k int, less func(a, b T) bool) {
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && less(s[j], s[j-1]); j-- {
+// insertionSort sorts the tiny ranges quickselect leaves, which puts their
+// best elements first.
+func insertionSort[T any](s []T, less func(a, b T) bool) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-	_ = k
 }
 
 // Collector accumulates a stream of elements and retains the k best under
-// less, using a bounded worst-at-root heap. It is the in-memory analogue of
-// answering a top-k query by scanning (the paper's "read the whole D"
-// fallback), in O(1) amortized time per element.
+// less. Offers append to a buffer of at most 2k elements; when it fills,
+// quickselect keeps its k best and the worst of them becomes the cut, and
+// from then on an element not better than the cut is dropped after one
+// comparison. A compaction costs expected O(k) and frees k slots, so an
+// offer costs O(1) amortized in any arrival order. It is the in-memory analogue
+// of answering a top-k query by scanning (the paper's "read the whole D"
+// fallback) and of k-selection over a streamed batch.
 type Collector[T any] struct {
-	k    int
-	less func(a, b T) bool
-	heap []T // worst element at heap[0]
+	k      int
+	less   func(a, b T) bool
+	buf    []T // allocated at the first kept offer, capacity 2k
+	cut    T   // the worst of the k best at the last compaction
+	hasCut bool
 }
 
-// NewCollector returns a collector retaining the k best elements.
+// NewCollector returns a collector retaining the k best elements. For
+// k ≤ 0 it returns nil, which is a valid collector that keeps nothing, so
+// a caller that only counts a stream allocates none.
 func NewCollector[T any](k int, less func(a, b T) bool) *Collector[T] {
-	if k < 0 {
-		k = 0
+	if k <= 0 {
+		return nil
 	}
-	return &Collector[T]{k: k, less: less, heap: make([]T, 0, k)}
+	return &Collector[T]{k: k, less: less}
 }
 
 // Offer considers one element.
 func (c *Collector[T]) Offer(v T) {
-	if c.k == 0 {
+	if c == nil || c.hasCut && !c.less(v, c.cut) {
 		return
 	}
-	if len(c.heap) < c.k {
-		c.heap = append(c.heap, v)
-		c.siftUp(len(c.heap) - 1)
-		return
+	if c.buf == nil {
+		c.buf = make([]T, 0, 2*c.k)
 	}
-	// Replace the current worst if v beats it.
-	if c.less(v, c.heap[0]) {
-		c.heap[0] = v
-		c.siftDown(0)
+	c.buf = append(c.buf, v)
+	if len(c.buf) == cap(c.buf) {
+		c.buf = SelectTopK(c.buf, c.k, c.less)
+		c.cut = c.buf[0]
+		for _, x := range c.buf[1:] {
+			if c.less(c.cut, x) {
+				c.cut = x
+			}
+		}
+		c.hasCut = true
 	}
-}
-
-// Len reports how many elements are currently retained.
-func (c *Collector[T]) Len() int { return len(c.heap) }
-
-// Worst returns the worst retained element; ok is false when empty.
-func (c *Collector[T]) Worst() (v T, ok bool) {
-	if len(c.heap) == 0 {
-		return v, false
-	}
-	return c.heap[0], true
 }
 
 // Items returns the retained elements best-first and resets the collector.
 func (c *Collector[T]) Items() []T {
-	out := c.heap
-	c.heap = nil
-	sort.Slice(out, func(i, j int) bool { return c.less(out[i], out[j]) })
+	if c == nil {
+		return nil
+	}
+	out := SelectTopK(c.buf, c.k, c.less)
+	SortPrefix(out, len(out), c.less)
+	c.buf, c.hasCut = nil, false
 	return out
-}
-
-// heap invariant: parent is worse-or-equal than children under less
-// (so heap[0] is the overall worst, making replacement cheap).
-func (c *Collector[T]) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if c.less(c.heap[p], c.heap[i]) { // parent better than child: swap up
-			c.heap[p], c.heap[i] = c.heap[i], c.heap[p]
-			i = p
-			continue
-		}
-		return
-	}
-}
-
-func (c *Collector[T]) siftDown(i int) {
-	n := len(c.heap)
-	for {
-		worst := i
-		if l := 2*i + 1; l < n && c.less(c.heap[worst], c.heap[l]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < n && c.less(c.heap[worst], c.heap[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		c.heap[i], c.heap[worst] = c.heap[worst], c.heap[i]
-		i = worst
-	}
 }

@@ -2,6 +2,7 @@ package xsort
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -89,86 +90,91 @@ func TestSelectTopKPreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestTopKSortedDoesNotMutate(t *testing.T) {
-	in := []float64{5, 1, 9, 3, 7}
-	orig := append([]float64(nil), in...)
-	got := TopKSorted(in, 3, lessDesc)
-	want := []float64{9, 7, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopKSorted = %v, want %v", got, want)
-		}
-	}
-	for i := range in {
-		if in[i] != orig[i] {
-			t.Fatalf("TopKSorted mutated input: %v", in)
-		}
-	}
+// sortTake is the oracle the collector is checked against: the k best of
+// vals, best-first, from a sorted copy.
+func sortTake(vals []float64, k int) []float64 {
+	want := append([]float64(nil), vals...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+	return want[:min(max(k, 0), len(want))]
 }
 
-func TestSelectRank(t *testing.T) {
-	g := rand.New(rand.NewPCG(1, 2))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + g.IntN(300)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = g.Float64()
-		}
-		r := 1 + g.IntN(n)
-		sorted := append([]float64(nil), vals...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-		want := sorted[r-1]
-		got := SelectRank(append([]float64(nil), vals...), r, lessDesc)
-		if got != want {
-			t.Fatalf("SelectRank(n=%d, r=%d) = %v, want %v", n, r, got, want)
+// collect streams vals through a k-collector, failing t if its buffer
+// ever holds room for more than 2k elements, and returns its items.
+func collect(t testing.TB, vals []float64, k int) []float64 {
+	c := NewCollector(k, lessDesc)
+	for _, v := range vals {
+		c.Offer(v)
+		if c != nil && cap(c.buf) > 2*k {
+			t.Fatalf("k=%d: buffer capacity %d exceeds 2k", k, cap(c.buf))
 		}
 	}
-}
-
-func TestSelectRankPanicsOutOfRange(t *testing.T) {
-	for _, r := range []int{0, 4, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SelectRank(len=3, r=%d) did not panic", r)
-				}
-			}()
-			SelectRank([]float64{1, 2, 3}, r, lessDesc)
-		}()
-	}
+	return c.Items()
 }
 
 func TestCollectorBasics(t *testing.T) {
-	c := NewCollector(3, lessDesc)
-	for _, v := range []float64{4, 1, 7, 3, 9, 2} {
-		c.Offer(v)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
-	}
-	if w, ok := c.Worst(); !ok || w != 4 {
-		t.Fatalf("Worst = %v,%v, want 4,true", w, ok)
-	}
-	got := c.Items()
-	want := []float64{9, 7, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Items = %v, want %v", got, want)
-		}
+	got := collect(t, []float64{4, 1, 7, 3, 9, 2}, 3)
+	if want := []float64{9, 7, 4}; !slices.Equal(got, want) {
+		t.Fatalf("Items = %v, want %v", got, want)
 	}
 }
 
 func TestCollectorZeroK(t *testing.T) {
 	c := NewCollector(0, lessDesc)
 	c.Offer(5)
-	if c.Len() != 0 {
-		t.Fatalf("k=0 collector retained %d items", c.Len())
-	}
-	if _, ok := c.Worst(); ok {
-		t.Fatal("k=0 collector reported a worst element")
-	}
 	if got := c.Items(); len(got) != 0 {
 		t.Fatalf("k=0 collector Items = %v", got)
+	}
+}
+
+// TestCollectorStreamOrders checks the collector against sort-and-take on
+// the arrival orders that stress it differently: ascending (every offer
+// beats the cut, so the buffer compacts every k offers), descending (the
+// first cut rejects everything after it), shuffled, and duplicate-heavy
+// (ties at the cut), at lengths around k and 2k.
+func TestCollectorStreamOrders(t *testing.T) {
+	g := rand.New(rand.NewPCG(5, 6))
+	orders := map[string]func(n int) []float64{
+		"ascending": func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = float64(i)
+			}
+			return s
+		},
+		"descending": func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = float64(n - i)
+			}
+			return s
+		},
+		"shuffled": func(n int) []float64 {
+			s := make([]float64, n)
+			for i, j := range g.Perm(n) {
+				s[i] = float64(j)
+			}
+			return s
+		},
+		"duplicates": func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = float64(g.IntN(3))
+			}
+			return s
+		},
+	}
+	for name, gen := range orders {
+		for _, k := range []int{0, 1, 2, 7, 64} {
+			for _, n := range []int{k - 1, k, k + 1, 2*k - 1, 2 * k, 2*k + 1, 5*k + 3} {
+				if n < 0 {
+					continue
+				}
+				vals := gen(n)
+				if got, want := collect(t, vals, k), sortTake(vals, k); !slices.Equal(got, want) {
+					t.Fatalf("%s k=%d n=%d: collector %v, want %v", name, k, n, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -181,21 +187,29 @@ func TestCollectorMatchesSort(t *testing.T) {
 		for i := range vals {
 			vals[i] = g.Float64()
 		}
-		c := NewCollector(k, lessDesc)
-		for _, v := range vals {
-			c.Offer(v)
-		}
-		got := c.Items()
-		want := TopKSorted(vals, k, lessDesc)
-		if len(got) != len(want) {
-			t.Fatalf("collector kept %d, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: collector %v, want %v", trial, got, want)
-			}
+		if got, want := collect(t, vals, k), sortTake(vals, k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: collector %v, want %v", trial, got, want)
 		}
 	}
+}
+
+// FuzzCollector diffs the collector against sort-and-take on an arbitrary
+// stream: each byte of data is one value, so ties are common, and k
+// ranges over 0..255.
+func FuzzCollector(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8}, uint8(3))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, kRaw uint8) {
+		vals := make([]float64, len(data))
+		for i, b := range data {
+			vals[i] = float64(b)
+		}
+		k := int(kRaw)
+		if got, want := collect(t, vals, k), sortTake(vals, k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d over %v: collector %v, want %v", k, vals, got, want)
+		}
+	})
 }
 
 func TestSortPrefix(t *testing.T) {

@@ -1,6 +1,8 @@
 package topk
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"topk/internal/wrand"
@@ -133,5 +135,73 @@ func TestQueryCtxZeroAllocOverhead(t *testing.T) {
 	})
 	if budgeted != batch {
 		t.Fatalf("budget-armed batch allocates %v objects/op, plain batch %v; arming a budget must add zero", budgeted, batch)
+	}
+}
+
+// TestQueryAllocBudget pins the bytes a query allocates to what it
+// returns, not to f or n: for every problem under Theorem 1 and
+// Theorem 2 at n = 2^15 and k = 10, one pass of 64 queries (after a warm
+// pass) may allocate at most queryAllocBudget bytes a query, measured as
+// runtime.MemStats.TotalAlloc over the whole pass.
+//
+// The budget, derived for this workload's items (at most 40 B each: an
+// enclosure rectangle's four coordinates plus the weight):
+//
+//   - The top of the path holds one collector of at most 2k = 20 items,
+//     under 1 KiB, and copies the answer three times on its way out (core
+//     items, the engine's items, ServedItems with their labels), under
+//     3 KiB at k = 10. The black boxes' traversal state (closures, kd-tree
+//     stacks) takes under 2 KiB.
+//   - That leaves 6 KiB a query, on average, for the collectors below
+//     Theorem 1's top level, which hold at most 2r items each, with
+//     r = ⌈8λ ln n⌉ ≤ 333 here (λ ≤ 4), so at most 26 KiB each: about one
+//     query in five may recurse, which takes a level-0 probe that aborts
+//     (|q(R_0)| > 4f).
+//   - Before the probes streamed into bounded collectors, every aborted
+//     probe held all 4f+1 items it streamed, f = 12λB·log_B n: at least
+//     180 KiB here (the least is interval's, λ = 1 and 24-B items, 7681
+//     items), so one such probe in 15 queries overran the budget.
+func TestQueryAllocBudget(t *testing.T) {
+	const (
+		n, k, nq         = 1 << 15, 10, 64
+		queryAllocBudget = 12 << 10
+	)
+	reductions := []Reduction{WorstCase, Expected}
+	for _, spec := range RegisteredProblems() {
+		// Build both reductions at once; measure them one at a time, since
+		// TotalAlloc counts every goroutine's allocations.
+		built := make([]Served, len(reductions))
+		errs := make([]error, len(reductions))
+		var wg sync.WaitGroup
+		for i, r := range reductions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				built[i], errs[i] = spec.Build(n, 7, WithReduction(r))
+			}()
+		}
+		wg.Wait()
+		for i, r := range reductions {
+			if errs[i] != nil {
+				t.Fatalf("%s/%v: %v", spec.Name, r, errs[i])
+			}
+			sv := built[i]
+			qs := sv.GenQueries(nq, 11)
+			for _, q := range qs {
+				sv.TopK(q, k)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, q := range qs {
+				sv.TopK(q, k)
+			}
+			runtime.ReadMemStats(&after)
+			perQuery := (after.TotalAlloc - before.TotalAlloc) / nq
+			t.Logf("%s/%v: %.2f KiB per query", spec.Name, r, float64(perQuery)/1024)
+			if perQuery > queryAllocBudget {
+				t.Errorf("%s/%v: a TopK(q, %d) allocates %.1f KiB on average, budget %d KiB",
+					spec.Name, r, k, float64(perQuery)/1024, queryAllocBudget>>10)
+			}
+		}
 	}
 }

@@ -189,7 +189,7 @@ func (ob *indexObs) observeSlow(d time.Duration, st em.Stats, trace []em.TraceEv
 	if ob.qm != nil {
 		ob.qm.SlowQueries.Inc()
 	}
-	meta := obs.SlowMeta{Outcome: lc.outcome.String(), Budget: lc.ctx.IOBudget}
+	meta := obs.SlowMeta{Shard: ob.shard, Outcome: lc.outcome.String(), Budget: lc.ctx.IOBudget}
 	if !lc.ctx.Deadline.IsZero() {
 		meta.HasDeadline = true
 		meta.Slack = time.Until(lc.ctx.Deadline)

@@ -3,6 +3,7 @@ package topk
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,23 +17,26 @@ import (
 // slow-query log. The index owns a single QueryLogger and a single
 // SlowQueryLog, so no two shards ever write the caller's writer at once
 // (the race detector checks this), every row arrives whole, and the one
-// ring holds the newest WithSlowLogKeep entries of both shards.
+// ring holds the newest WithSlowLogKeep entries of both shards, each
+// naming its shard. The ring-only log keeps every entry, so both shard
+// labels must appear in it; the buffer-writer log keeps the default 64,
+// so its ring wraps, and its writer must hold each shard's entries.
 func TestShardedIndexSharesOneLog(t *testing.T) {
 	spec, ok := ProblemByName("interval")
 	if !ok {
 		t.Fatal("interval not registered")
 	}
-	const nq, keep = 200, 64
+	const nq = 200
 	for _, slowW := range []*bytes.Buffer{nil, new(bytes.Buffer)} {
-		name := "ring-only"
-		slowOpt := WithSlowQueryLog(nil, 1)
+		name, keep := "ring-only", 2*nq
+		slowOpts := []Option{WithSlowQueryLog(nil, 1), WithSlowLogKeep(keep)}
 		if slowW != nil {
-			name = "buffer-writer"
-			slowOpt = WithSlowQueryLog(slowW, 1)
+			name, keep = "buffer-writer", 64
+			slowOpts = []Option{WithSlowQueryLog(slowW, 1)}
 		}
 		t.Run(name, func(t *testing.T) {
 			var qbuf bytes.Buffer
-			ix, err := spec.BuildSharded(4000, 2, 7, WithQueryLog(&qbuf), slowOpt)
+			ix, err := spec.BuildSharded(4000, 2, 7, append(slowOpts, WithQueryLog(&qbuf))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +47,7 @@ func TestShardedIndexSharesOneLog(t *testing.T) {
 				t.Fatalf("got %d wide events, want %d (one per query per shard)", len(lines), 2*nq)
 			}
 			perShard := map[string]int{}
-			recorded := 0 // per-shard queries at or above the 1-I/O threshold
+			recorded := map[string]int{} // per-shard queries at or above the 1-I/O threshold
 			for i, line := range lines {
 				var ev obs.WideEvent
 				if err := json.Unmarshal([]byte(line), &ev); err != nil {
@@ -51,25 +55,37 @@ func TestShardedIndexSharesOneLog(t *testing.T) {
 				}
 				perShard[ev.Shard]++
 				if ev.IOs >= 1 {
-					recorded++
+					recorded[ev.Shard]++
 				}
 			}
 			if len(perShard) != 2 || perShard["0"] != nq || perShard["1"] != nq {
 				t.Fatalf("wide events per shard label = %v, want %d each for shards 0 and 1", perShard, nq)
 			}
 
-			slow := ix.SlowQueries()
-			if want := min(keep, recorded); len(slow) != want {
-				t.Fatalf("SlowQueries() holds %d entries, want min(%d, %d recorded) = %d", len(slow), keep, recorded, want)
+			if recorded["0"] == 0 || recorded["1"] == 0 {
+				t.Fatalf("slow queries per shard = %v, want some on each shard", recorded)
 			}
+			total := recorded["0"] + recorded["1"]
+			slow := ix.SlowQueries()
+			if want := min(keep, total); len(slow) != want {
+				t.Fatalf("SlowQueries() holds %d entries, want min(%d, %d recorded) = %d", len(slow), keep, total, want)
+			}
+			ringShards := map[string]int{}
 			for i, e := range slow {
-				if !strings.HasPrefix(e, "slow query index=interval ") {
-					t.Fatalf("ring entry %d is not a whole slow-query entry: %q", i, e)
+				var shard string
+				if _, err := fmt.Sscanf(e, "slow query index=interval shard=%s ", &shard); err != nil || perShard[shard] == 0 {
+					t.Fatalf("ring entry %d is not a whole slow-query entry naming its shard: %q", i, e)
 				}
+				ringShards[shard]++
+			}
+			if slowW == nil && (ringShards["0"] != recorded["0"] || ringShards["1"] != recorded["1"]) {
+				t.Fatalf("ring entries per shard = %v, want %v", ringShards, recorded)
 			}
 			if slowW != nil {
-				if got := strings.Count(slowW.String(), "slow query index=interval "); got != recorded {
-					t.Fatalf("slow writer holds %d whole entries, want %d", got, recorded)
+				for _, shard := range []string{"0", "1"} {
+					if got := strings.Count(slowW.String(), "slow query index=interval shard="+shard+" "); got != recorded[shard] {
+						t.Fatalf("slow writer holds %d whole entries of shard %s, want %d", got, shard, recorded[shard])
+					}
 				}
 			}
 		})
