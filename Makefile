@@ -41,7 +41,7 @@ race:
 # (make fuzz FUZZTIME=5m).
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -fuzz FuzzTreapOps -fuzztime $(FUZZTIME) ./internal/treap/
+	$(GO) test -fuzz FuzzPSTOps -fuzztime $(FUZZTIME) ./internal/pst/
 	$(GO) test -fuzz FuzzMapOps -fuzztime $(FUZZTIME) ./internal/btree/
 	$(GO) test -fuzz FuzzPersistence -fuzztime $(FUZZTIME) ./internal/pstree/
 	$(GO) test -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) ./internal/interval/
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz FuzzShardedInterval -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzCollector -fuzztime $(FUZZTIME) ./internal/xsort/
+	$(GO) test -fuzz FuzzFixed3 -fuzztime $(FUZZTIME) -run '^$$' .
 
 # Brief fuzz pass over just the oracle-diff targets: cheap enough for
 # every CI run, still long enough to shake out op-sequence bugs.
@@ -61,14 +62,17 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzShardedInterval -fuzztime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzSnapshotRestore -fuzztime 5s -run '^$$' .
 	$(GO) test -fuzz FuzzCollector -fuzztime 5s ./internal/xsort/
+	$(GO) test -fuzz FuzzPSTOps -fuzztime 5s ./internal/pst/
+	$(GO) test -fuzz FuzzFixed3 -fuzztime 5s -run '^$$' .
 
 # Coverage floors on the packages whose correctness the test pyramid leans
 # on: the dynamization overlay, the reduction framework, the selection
-# primitives, the snapshot codec, the EM cost tracker, the cluster
-# serving tier, and the root package holding the problem-descriptor
-# engine, registry, and persistence layer.
+# primitives, the priority search tree and the interval and 1D range
+# black boxes built on it, the snapshot codec, the EM cost tracker, the
+# cluster serving tier, and the root package holding the
+# problem-descriptor engine, registry, and persistence layer.
 cover:
-	@for pkg in ./internal/dynamic ./internal/core ./internal/xsort ./internal/snap ./internal/em ./internal/cluster .; do \
+	@for pkg in ./internal/dynamic ./internal/core ./internal/xsort ./internal/pst ./internal/interval ./internal/rangerep ./internal/snap ./internal/em ./internal/cluster .; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 		echo "$$pkg coverage: $$pct%"; \
 		awk -v p="$$pct" 'BEGIN { exit !(p >= 70) }' || { echo "FAIL: $$pkg coverage $$pct% is below the 70% floor"; exit 1; }; \

@@ -22,6 +22,7 @@
 package dominance
 
 import (
+	"math"
 	"sort"
 
 	"topk/internal/core"
@@ -37,6 +38,10 @@ type Pt3 struct {
 
 // Match reports whether e is dominated by the query corner q.
 func Match(q Pt3, e Pt3) bool { return e.X <= q.X && e.Y <= q.Y && e.Z <= q.Z }
+
+// hasNaN reports whether a query corner has a NaN coordinate, which
+// dominates nothing.
+func (p Pt3) hasNaN() bool { return math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsNaN(p.Z) }
 
 // Lambda is the polynomial-boundedness exponent: distinct outcomes q(D)
 // are determined by the coordinate ranks of (x, y, z), so there are at
@@ -106,6 +111,9 @@ func (m *MinZ) N() int { return len(m.xs) }
 // MinItem returns a point dominated by q with the minimal z-coordinate,
 // charging v.
 func (m *MinZ) MinItem(v *em.QueryView, q Pt3) (core.Item[Pt3], bool) {
+	if q.hasNaN() {
+		return core.Item[Pt3]{}, false
+	}
 	if m.tracker != nil {
 		m.tracker.PathCost(v, 2*log2ceil(len(m.xs))+2)
 	}

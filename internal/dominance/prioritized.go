@@ -218,6 +218,9 @@ func queryX(nd *xnode, cnt int, q Pt3, emit func(core.Item[Pt3]) bool, visited *
 
 // ReportAbove implements core.Prioritized[Pt3, Pt3].
 func (p *Prioritized) ReportAbove(v *em.QueryView, q Pt3, tau float64, emit func(core.Item[Pt3]) bool) {
+	if q.hasNaN() {
+		return
+	}
 	// visited is a per-query local (not a receiver field) so that any
 	// number of ReportAbove calls can run concurrently on one structure.
 	var visited int64

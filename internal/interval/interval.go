@@ -17,11 +17,12 @@
 // EM machine exactly that contract: skeleton root-to-leaf walks charge
 // em.Tracker.PathCost (blocked tree layout, one I/O per ⌊log₂B⌋ nodes,
 // i.e. O(log_B n) per walk) and every reported item charges ScanCost
-// (B items per block, the O(t/B) output term). The in-memory treap
-// traversals that realize the queries are RAM work and are measured by
-// the wall-clock benchmarks, not double-billed as I/Os — this keeps the
-// reduction experiments (E4–E7) measuring precisely the quantities
-// Theorems 1 and 2 are stated over. See DESIGN.md's substitution table.
+// (B items per block, the O(t/B) output term). The priority-search-tree
+// walks that realize the queries (package pst) are RAM work of the same
+// shape, O(log n + t) nodes per tree, and are measured by the wall-clock
+// benchmarks, not double-billed as I/Os — this keeps the reduction
+// experiments (E4–E7) measuring precisely the quantities Theorems 1 and 2
+// are stated over. See DESIGN.md's substitution table.
 package interval
 
 import (
@@ -31,7 +32,7 @@ import (
 
 	"topk/internal/core"
 	"topk/internal/em"
-	"topk/internal/treap"
+	"topk/internal/pst"
 )
 
 // Interval is a closed interval [Lo, Hi].
@@ -58,14 +59,15 @@ type Spanned interface {
 
 // Tree is a dynamic interval tree: a balanced skeleton over the endpoint
 // coordinates, with each interval stored at the highest node whose center
-// it contains, in two weight-augmented treaps (keyed by Lo and by Hi).
+// it contains, in two priority search trees (package pst, keyed by Lo and
+// by Hi).
 //
 // Queries:
 //   - ReportAbove(q, τ): every item containing q with weight ≥ τ, in
 //     O(log² n + t) time / O(log n·log_B n + t/B)-style charged I/Os;
 //   - MaxItem(q): the heaviest item containing q.
 //
-// Updates run in O(log² n) expected time; the skeleton is rebuilt after
+// Updates run in O(log² n) amortized time; the skeleton is rebuilt after
 // n/2 updates, so new endpoints degrade nothing asymptotically (amortized).
 //
 // Tree implements core.DynamicPrioritized[float64, V] and
@@ -80,11 +82,21 @@ type Tree[V Spanned] struct {
 	blocks  int64
 }
 
+// tnode is one skeleton node. Most nodes hold no interval (every interval
+// sits at the highest center it contains), so what a node holds lives
+// behind one pointer that stays nil until it holds something.
 type tnode[V Spanned] struct {
 	center      float64
-	byLo, byHi  treap.Tree[V]
-	rest        []core.Item[V] // post-build intervals that fit no node center
+	held        *held[V]
 	left, right *tnode[V]
+}
+
+// held is what one skeleton node stores: the intervals containing its
+// center, in a search tree on Lo and one on Hi, and the post-build
+// intervals that fit no node center.
+type held[V Spanned] struct {
+	byLo, byHi pst.Tree[V]
+	rest       []core.Item[V]
 }
 
 type locRef[V Spanned] struct {
@@ -134,8 +146,30 @@ func (t *Tree[V]) build(items []core.Item[V]) {
 	t.loc = make(map[float64]locRef[V], len(items))
 	t.n0 = len(items)
 	t.churn = 0
+
+	// Route every item to its node, then lay out each node's two trees
+	// in one bulk build. Every item contains its own endpoints, which are
+	// centers, so none lands in a rest list.
+	groups := make(map[*tnode[V]][]core.Item[V])
 	for _, it := range items {
-		t.place(it)
+		sp := it.Value.Span()
+		nd, _ := t.route(sp)
+		groups[nd] = append(groups[nd], it)
+		t.loc[it.Weight] = locRef[V]{nd: nd, span: sp}
+	}
+	var buf []pst.Entry[V]
+	keyedBy := func(g []core.Item[V], key func(Interval) float64) pst.Tree[V] {
+		buf = buf[:0]
+		for _, it := range g {
+			buf = append(buf, pst.Entry[V]{Key: pst.Key{K: key(it.Value.Span()), W: it.Weight}, Val: it.Value})
+		}
+		return pst.Build(buf)
+	}
+	for nd, g := range groups {
+		nd.held = &held[V]{
+			byLo: keyedBy(g, func(sp Interval) float64 { return sp.Lo }),
+			byHi: keyedBy(g, func(sp Interval) float64 { return sp.Hi }),
+		}
 	}
 }
 
@@ -160,36 +194,46 @@ func buildSkeleton[V Spanned](coords []float64, a, b int) *tnode[V] {
 	return nd
 }
 
-// place routes an item to its node and records its location.
-func (t *Tree[V]) place(it core.Item[V]) {
-	sp := it.Value.Span()
-	nd := t.root
-	if nd == nil {
-		// Empty skeleton (built from zero items): hold everything in a
-		// synthetic root's rest list.
-		t.root = &tnode[V]{center: sp.Lo}
-		nd = t.root
-	}
+// route finds the node an interval belongs to: the highest whose center
+// it contains, or, when it contains none on its way down, the last node
+// it reaches (inRest). The skeleton must be non-empty.
+func (t *Tree[V]) route(sp Interval) (nd *tnode[V], inRest bool) {
+	nd = t.root
 	for {
 		if sp.Contains(nd.center) {
-			nd.byLo.Insert(treap.Key{K: sp.Lo, W: it.Weight}, it.Value)
-			nd.byHi.Insert(treap.Key{K: sp.Hi, W: it.Weight}, it.Value)
-			t.loc[it.Weight] = locRef[V]{nd: nd, span: sp}
-			return
+			return nd, false
 		}
-		var next *tnode[V]
+		next := nd.right
 		if sp.Hi < nd.center {
 			next = nd.left
-		} else {
-			next = nd.right
 		}
 		if next == nil {
-			nd.rest = append(nd.rest, it)
-			t.loc[it.Weight] = locRef[V]{nd: nd, span: sp, inRest: true}
-			return
+			return nd, true
 		}
 		nd = next
 	}
+}
+
+// place routes an item to its node, stores it there and records its
+// location.
+func (t *Tree[V]) place(it core.Item[V]) {
+	sp := it.Value.Span()
+	if t.root == nil {
+		// Empty skeleton (built from zero items): hold everything in a
+		// synthetic root's rest list.
+		t.root = &tnode[V]{center: sp.Lo}
+	}
+	nd, inRest := t.route(sp)
+	if nd.held == nil {
+		nd.held = &held[V]{}
+	}
+	if inRest {
+		nd.held.rest = append(nd.held.rest, it)
+	} else {
+		nd.held.byLo.Insert(pst.Key{K: sp.Lo, W: it.Weight}, it.Value)
+		nd.held.byHi.Insert(pst.Key{K: sp.Hi, W: it.Weight}, it.Value)
+	}
+	t.loc[it.Weight] = locRef[V]{nd: nd, span: sp, inRest: inRest}
 }
 
 // Len returns the number of stored items.
@@ -198,43 +242,98 @@ func (t *Tree[V]) Len() int { return len(t.loc) }
 // ReportAbove implements core.Prioritized: emit every item containing q
 // with weight ≥ tau.
 func (t *Tree[V]) ReportAbove(v *em.QueryView, q float64, tau float64, emit func(core.Item[V]) bool) {
+	t.reportAbove(v, q, tau, emit)
+}
+
+// reportAbove is ReportAbove, returning the number of search-tree nodes
+// its walks entered (the RAM work the charge stands for; see the tests'
+// visit bound).
+func (t *Tree[V]) reportAbove(v *em.QueryView, q float64, tau float64, emit func(core.Item[V]) bool) (visits int) {
 	emitted, pathNodes, restScanned := 0, 0, 0
 	defer func() {
 		t.chargeQuery(v, pathNodes, restScanned, emitted)
 	}()
 
-	visit := func(k treap.Key, v V) bool {
+	visit := func(k pst.Key, v V) bool {
 		emitted++
 		return emit(core.Item[V]{Value: v, Weight: k.W})
 	}
-	nd := t.root
-	for nd != nil {
+	for nd := t.root; nd != nil; nd = nd.next(q) {
 		pathNodes++
-		restScanned += len(nd.rest)
-		for _, it := range nd.rest {
+		h := nd.held
+		if h == nil {
+			continue
+		}
+		restScanned += len(h.rest)
+		for _, it := range h.rest {
 			if it.Weight >= tau && it.Value.Span().Contains(q) {
 				emitted++
 				if !emit(it) {
-					return
+					return visits
 				}
 			}
 		}
-		switch {
-		case q < nd.center:
-			if !nd.byLo.PrefixReportAbove(q, tau, visit) {
-				return
-			}
-			nd = nd.left
-		case q > nd.center:
-			if !nd.byHi.SuffixReportAbove(q, tau, visit) {
-				return
-			}
-			nd = nd.right
-		default: // q == center: every item at this node contains q
-			nd.byLo.PrefixReportAbove(math.Inf(1), tau, visit)
-			return
+		n, ok := h.report(q, nd.center, tau, visit)
+		visits += n
+		if !ok {
+			return visits
 		}
 	}
+	return visits
+}
+
+// next is the child a search for q continues into: none once q reaches
+// the center, and none for a NaN q, which no interval contains.
+func (nd *tnode[V]) next(q float64) *tnode[V] {
+	switch {
+	case q < nd.center:
+		return nd.left
+	case q > nd.center:
+		return nd.right
+	}
+	return nil
+}
+
+// report walks the search tree that holds the intervals containing q at
+// a node with the given center (the rest list aside), returning the nodes
+// it entered and whether it ran to completion.
+func (h *held[V]) report(q, center, tau float64, visit func(pst.Key, V) bool) (int, bool) {
+	switch {
+	case q < center:
+		return h.byLo.PrefixReportAbove(q, tau, visit)
+	case q > center:
+		return h.byHi.SuffixReportAbove(q, tau, visit)
+	case q == center: // every interval at this node contains q
+		return h.byLo.PrefixReportAbove(math.Inf(1), tau, visit)
+	}
+	return 0, true
+}
+
+// max is report's max twin.
+func (h *held[V]) max(q, center float64) (pst.Key, V, bool) {
+	switch {
+	case q < center:
+		return h.byLo.PrefixMax(q)
+	case q > center:
+		return h.byHi.SuffixMax(q)
+	case q == center:
+		return h.byLo.Max()
+	}
+	var v V
+	return pst.Key{}, v, false
+}
+
+// count is report's counting twin.
+func (h *held[V]) count(q, center float64) int {
+	switch {
+	case q < center:
+		return h.byLo.PrefixCount(q)
+	case q > center:
+		return h.byHi.SuffixCount(q)
+	case q == center:
+		return h.byLo.Len()
+	}
+	return 0
 }
 
 // MaxItem implements core.Max: the heaviest item containing q.
@@ -242,38 +341,20 @@ func (t *Tree[V]) MaxItem(v *em.QueryView, q float64) (core.Item[V], bool) {
 	best := core.Item[V]{Weight: math.Inf(-1)}
 	found := false
 	pathNodes, restScanned := 0, 0
-
-	nd := t.root
-	for nd != nil {
+	for nd := t.root; nd != nil; nd = nd.next(q) {
 		pathNodes++
-		restScanned += len(nd.rest)
-		for _, it := range nd.rest {
+		h := nd.held
+		if h == nil {
+			continue
+		}
+		restScanned += len(h.rest)
+		for _, it := range h.rest {
 			if it.Weight > best.Weight && it.Value.Span().Contains(q) {
 				best, found = it, true
 			}
 		}
-		var k treap.Key
-		var v V
-		var ok bool
-		switch {
-		case q < nd.center:
-			k, v, ok = nd.byLo.PrefixMax(q)
-			if ok && k.W > best.Weight {
-				best, found = core.Item[V]{Value: v, Weight: k.W}, true
-			}
-			nd = nd.left
-		case q > nd.center:
-			k, v, ok = nd.byHi.SuffixMax(q)
-			if ok && k.W > best.Weight {
-				best, found = core.Item[V]{Value: v, Weight: k.W}, true
-			}
-			nd = nd.right
-		default:
-			k, v, ok = nd.byLo.PrefixMax(math.Inf(1))
-			if ok && k.W > best.Weight {
-				best, found = core.Item[V]{Value: v, Weight: k.W}, true
-			}
-			nd = nil
+		if k, v, ok := h.max(q, nd.center); ok && k.W > best.Weight {
+			best, found = core.Item[V]{Value: v, Weight: k.W}, true
 		}
 	}
 	t.chargeQuery(v, pathNodes, restScanned, 0)
@@ -281,31 +362,24 @@ func (t *Tree[V]) MaxItem(v *em.QueryView, q float64) (core.Item[V], bool) {
 }
 
 // Count returns the number of stored intervals containing q, in
-// O(log² n) expected time / O(log_B n)-charged I/Os — the counting
-// structure role in the Rahul–Janardan counting reduction (paper §2).
-// For interval stabbing exact counting is easy, which the paper notes
-// only improves that baseline.
+// O(log² n) time / O(log_B n)-charged I/Os — the counting structure role
+// in the Rahul–Janardan counting reduction (paper §2). For interval
+// stabbing exact counting is easy, which the paper notes only improves
+// that baseline.
 func (t *Tree[V]) Count(v *em.QueryView, q float64) int {
 	total, pathNodes := 0, 0
-	nd := t.root
-	for nd != nil {
+	for nd := t.root; nd != nil; nd = nd.next(q) {
 		pathNodes++
-		for _, it := range nd.rest {
+		h := nd.held
+		if h == nil {
+			continue
+		}
+		for _, it := range h.rest {
 			if it.Value.Span().Contains(q) {
 				total++
 			}
 		}
-		switch {
-		case q < nd.center:
-			total += nd.byLo.PrefixCount(q)
-			nd = nd.left
-		case q > nd.center:
-			total += nd.byHi.SuffixCount(q)
-			nd = nd.right
-		default:
-			total += nd.byLo.Len()
-			nd = nil
-		}
+		total += h.count(q, nd.center)
 	}
 	if t.tracker != nil {
 		t.tracker.PathCost(v, pathNodes)
@@ -334,18 +408,22 @@ func (t *Tree[V]) DeleteWeight(w float64) bool {
 	if !ok {
 		return false
 	}
+	h := ref.nd.held
 	if ref.inRest {
-		for i, it := range ref.nd.rest {
+		for i, it := range h.rest {
 			if it.Weight == w {
-				last := len(ref.nd.rest) - 1
-				ref.nd.rest[i] = ref.nd.rest[last]
-				ref.nd.rest = ref.nd.rest[:last]
+				last := len(h.rest) - 1
+				h.rest[i] = h.rest[last]
+				h.rest = h.rest[:last]
 				break
 			}
 		}
 	} else {
-		ref.nd.byLo.Delete(treap.Key{K: ref.span.Lo, W: w})
-		ref.nd.byHi.Delete(treap.Key{K: ref.span.Hi, W: w})
+		h.byLo.Delete(pst.Key{K: ref.span.Lo, W: w})
+		h.byHi.Delete(pst.Key{K: ref.span.Hi, W: w})
+	}
+	if h.byLo.Len() == 0 && len(h.rest) == 0 {
+		ref.nd.held = nil
 	}
 	delete(t.loc, w)
 	t.chargeUpdate()
@@ -367,11 +445,13 @@ func (t *Tree[V]) collect() []core.Item[V] {
 		if nd == nil {
 			return
 		}
-		nd.byLo.Ascend(func(k treap.Key, v V) bool {
-			items = append(items, core.Item[V]{Value: v, Weight: k.W})
-			return true
-		})
-		items = append(items, nd.rest...)
+		if h := nd.held; h != nil {
+			h.byLo.All(func(k pst.Key, v V) bool {
+				items = append(items, core.Item[V]{Value: v, Weight: k.W})
+				return true
+			})
+			items = append(items, h.rest...)
+		}
 		walk(nd.left)
 		walk(nd.right)
 	}
@@ -384,9 +464,9 @@ func (t *Tree[V]) chargeQuery(v *em.QueryView, pathNodes, restScanned, emitted i
 		return
 	}
 	// Charge the contract of the cited black box: one skeleton descent
-	// (O(log_B n) after blocking) plus the O(t/B) output term. The treap
-	// walks are the RAM work realizing that contract; see the package
-	// comment.
+	// (O(log_B n) after blocking) plus the O(t/B) output term. The
+	// search-tree walks are the RAM work realizing that contract; see the
+	// package comment.
 	t.tracker.PathCost(v, pathNodes)
 	t.tracker.ScanCost(v, restScanned+emitted)
 }
@@ -395,7 +475,7 @@ func (t *Tree[V]) chargeUpdate() {
 	if t.tracker == nil {
 		return
 	}
-	// One skeleton descent plus two treap updates: O(log n) nodes.
+	// One skeleton descent plus two search-tree updates: O(log n) nodes.
 	t.tracker.PathCost(nil, 2*approxLog2(len(t.loc)+2))
 	t.tracker.ScanCost(nil, 1)
 }

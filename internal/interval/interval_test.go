@@ -281,7 +281,7 @@ func TestTreeIOCharging(t *testing.T) {
 	if maxIOs == 0 {
 		t.Fatal("MaxItem charged no I/Os")
 	}
-	// log2(4096) = 12 path nodes, treap walks ~12 each; /log2(64)=6
+	// log2(4096) = 12 path nodes, search-tree walks ~12 each; /log2(64)=6
 	// should stay well under a linear scan (4096/64 = 64 blocks).
 	if maxIOs > 60 {
 		t.Errorf("MaxItem charged %d I/Os; suspiciously close to a full scan", maxIOs)

@@ -2,13 +2,12 @@ package interval
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"topk/internal/btree"
 	"topk/internal/core"
 	"topk/internal/em"
-	"topk/internal/treap"
+	"topk/internal/pst"
 )
 
 // StabMax1D is the folklore static stabbing-max structure of the paper's
@@ -71,19 +70,19 @@ func NewStabMax1D[V Spanned](items []core.Item[V], tracker *em.Tracker) (*StabMa
 		starts[sp.Lo] = append(starts[sp.Lo], it)
 		ends[sp.Hi] = append(ends[sp.Hi], it)
 	}
-	var active treap.Tree[V]
+	var active pst.Tree[V]
 	for i, c := range coords {
 		for _, it := range starts[c] {
-			active.Insert(treap.Key{K: it.Weight, W: it.Weight}, it.Value)
+			active.Insert(pst.Key{K: it.Weight, W: it.Weight}, it.Value)
 		}
-		if k, v, ok := active.SuffixMax(math.Inf(-1)); ok {
+		if k, v, ok := active.Max(); ok {
 			s.atPoint[i] = core.Item[V]{Value: v, Weight: k.W}
 			s.okPoint[i] = true
 		}
 		for _, it := range ends[c] {
-			active.Delete(treap.Key{K: it.Weight, W: it.Weight})
+			active.Delete(pst.Key{K: it.Weight, W: it.Weight})
 		}
-		if k, v, ok := active.SuffixMax(math.Inf(-1)); ok {
+		if k, v, ok := active.Max(); ok {
 			s.inGap[i] = core.Item[V]{Value: v, Weight: k.W}
 			s.okGap[i] = true
 		}

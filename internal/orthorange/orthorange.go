@@ -40,7 +40,7 @@ func (b Box) Valid(d int) bool {
 // ContainsPoint implements halfspace.BoxQuery.
 func (b Box) ContainsPoint(c []float64) bool {
 	for i := range b.Lo {
-		if c[i] < b.Lo[i] || c[i] > b.Hi[i] {
+		if !(b.Lo[i] <= c[i] && c[i] <= b.Hi[i]) { // a NaN bound contains nothing
 			return false
 		}
 	}
@@ -51,10 +51,10 @@ func (b Box) ContainsPoint(c []float64) bool {
 func (b Box) ClassifyBox(lo, hi []float64) (inside, outside bool) {
 	inside = true
 	for i := range b.Lo {
-		if hi[i] < b.Lo[i] || lo[i] > b.Hi[i] {
-			return false, true // disjoint in some coordinate
+		if !(b.Lo[i] <= hi[i] && lo[i] <= b.Hi[i]) {
+			return false, true // disjoint in some coordinate, or a NaN bound
 		}
-		if lo[i] < b.Lo[i] || hi[i] > b.Hi[i] {
+		if !(b.Lo[i] <= lo[i] && hi[i] <= b.Hi[i]) {
 			inside = false
 		}
 	}

@@ -4,12 +4,13 @@
 // line; a predicate is a closed query range [Lo, Hi]; a top-k query
 // returns the k heaviest points inside the range.
 //
-// The building blocks are a single weight-augmented treap keyed by
-// position: prioritized reporting prunes subtrees below the threshold and
-// max reporting walks with best-weight pruning, both in O(log n + t)
-// expected time, with insertions and deletions in O(log n). Through the
-// reductions of internal/core these yield dynamic top-k range reporting —
-// the paper's framework applied to its survey's headline problem.
+// The building block is a single priority search tree keyed by position
+// (package pst): prioritized reporting is a three-sided query that stops
+// at the first entry below the threshold, in O(log n + t) time; max
+// reporting follows two search paths, in O(log n); insertions and
+// deletions run in O(log² n) amortized time. Through the reductions of
+// internal/core these yield dynamic top-k range reporting — the paper's
+// framework applied to its survey's headline problem.
 //
 // I/O accounting follows the same contract convention as package interval:
 // one blocked root-to-leaf descent (O(log_B n)) plus O(t/B) output.
@@ -21,7 +22,7 @@ import (
 
 	"topk/internal/core"
 	"topk/internal/em"
-	"topk/internal/treap"
+	"topk/internal/pst"
 )
 
 // Span is the closed query range [Lo, Hi].
@@ -49,7 +50,7 @@ const Lambda = 2
 // points, and supports updates. It implements
 // core.DynamicPrioritized[Span, float64] and core.DynamicMax[Span, float64].
 type Points struct {
-	tr      treap.Tree[struct{}]
+	tr      pst.Tree[struct{}]
 	pos     map[float64]float64 // weight -> position (delete bookkeeping)
 	tracker *em.Tracker
 	run     em.BlockID
@@ -63,13 +64,15 @@ func NewPoints(items []core.Item[float64], tracker *em.Tracker) (*Points, error)
 		return nil, err
 	}
 	p := &Points{pos: make(map[float64]float64, len(items)), tracker: tracker}
-	for _, it := range items {
+	es := make([]pst.Entry[struct{}], len(items))
+	for i, it := range items {
 		if math.IsNaN(it.Value) {
 			return nil, fmt.Errorf("rangerep: NaN position")
 		}
-		p.tr.Insert(treap.Key{K: it.Value, W: it.Weight}, struct{}{})
+		es[i].Key = pst.Key{K: it.Value, W: it.Weight}
 		p.pos[it.Weight] = it.Value
 	}
+	p.tr = pst.Build(es)
 	if tracker != nil && len(items) > 0 {
 		p.blocks = em.BlocksFor(len(items), 2, tracker.B())
 		p.run = tracker.AllocRun(int(p.blocks))
@@ -82,8 +85,15 @@ func (p *Points) Len() int { return p.tr.Len() }
 
 // ReportAbove implements core.Prioritized[Span, float64].
 func (p *Points) ReportAbove(v *em.QueryView, q Span, tau float64, emit func(core.Item[float64]) bool) {
+	p.reportAbove(v, q, tau, emit)
+}
+
+// reportAbove is ReportAbove, returning the number of search-tree nodes
+// the walk entered (the RAM work the charge stands for; see the tests'
+// visit bound).
+func (p *Points) reportAbove(v *em.QueryView, q Span, tau float64, emit func(core.Item[float64]) bool) (visits int) {
 	emitted := 0
-	p.tr.RangeReportAbove(q.Lo, q.Hi, tau, func(k treap.Key, _ struct{}) bool {
+	visits, _ = p.tr.RangeReportAbove(q.Lo, q.Hi, tau, func(k pst.Key, _ struct{}) bool {
 		emitted++
 		return emit(core.Item[float64]{Value: k.K, Weight: k.W})
 	})
@@ -91,6 +101,7 @@ func (p *Points) ReportAbove(v *em.QueryView, q Span, tau float64, emit func(cor
 		p.tracker.PathCost(v, 2*log2ceil(p.tr.Len()+2))
 		p.tracker.ScanCost(v, emitted)
 	}
+	return visits
 }
 
 // MaxItem implements core.Max[Span, float64].
@@ -119,7 +130,7 @@ func (p *Points) Insert(it core.Item[float64]) {
 	if _, dup := p.pos[it.Weight]; dup {
 		panic(fmt.Sprintf("rangerep: duplicate weight %v", it.Weight))
 	}
-	p.tr.Insert(treap.Key{K: it.Value, W: it.Weight}, struct{}{})
+	p.tr.Insert(pst.Key{K: it.Value, W: it.Weight}, struct{}{})
 	p.pos[it.Weight] = it.Value
 	p.chargeUpdate()
 }
@@ -130,7 +141,7 @@ func (p *Points) DeleteWeight(w float64) bool {
 	if !ok {
 		return false
 	}
-	p.tr.Delete(treap.Key{K: x, W: w})
+	p.tr.Delete(pst.Key{K: x, W: w})
 	delete(p.pos, w)
 	p.chargeUpdate()
 	return true

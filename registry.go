@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"topk/internal/circular"
 	"topk/internal/dominance"
@@ -402,14 +401,6 @@ func (s *served[Q, V, It]) Snapshot(dir string) error      { return s.eng.snapDi
 
 const coordScale = 100
 
-func fmtCoords(cs []float64) string {
-	parts := make([]string, len(cs))
-	for i, c := range cs {
-		parts[i] = fmt.Sprintf("%.3f", c)
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
-
 func decodeFloats(raw json.RawMessage, want int, shape string) ([]float64, error) {
 	var xs []float64
 	if err := json.Unmarshal(raw, &xs); err != nil {
@@ -611,7 +602,7 @@ func intervalSpec() ProblemSpec {
 			}
 			return IntervalItem[int]{Lo: body.Lo, Hi: body.Hi, Weight: w}, nil
 		},
-		label: func(it IntervalItem[int]) string { return fmt.Sprintf("[%.3f, %.3f]", it.Lo, it.Hi) },
+		label: func(it IntervalItem[int]) string { return coordLabel("[", "]", it.Lo, it.Hi) },
 		fresh: func(g *wrand.RNG, w float64) IntervalItem[int] {
 			lo := g.Float64() * coordScale
 			return IntervalItem[int]{Lo: lo, Hi: lo + 1, Weight: w}
@@ -665,7 +656,7 @@ func rangeSpec() ProblemSpec {
 			}
 			return PointItem1[int]{Pos: body.Pos, Weight: w}, nil
 		},
-		label: func(it PointItem1[int]) string { return fmt.Sprintf("%.3f", it.Pos) },
+		label: func(it PointItem1[int]) string { return coordLabel("", "", it.Pos) },
 		fresh: func(g *wrand.RNG, w float64) PointItem1[int] {
 			return PointItem1[int]{Pos: g.Float64() * coordScale, Weight: w}
 		},
@@ -707,7 +698,7 @@ func orthoSpec() ProblemSpec {
 			}
 			return orthorange.NewBox(body.Lo, body.Hi)
 		},
-		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		label: func(it PointItemN[int]) string { return coordLabel("(", ")", it.Coords...) },
 		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
 			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
 		},
@@ -742,7 +733,7 @@ func circularSpec() ProblemSpec {
 			}
 			return circular.Ball{Center: body.Center, R: body.Radius}, nil
 		},
-		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		label: func(it PointItemN[int]) string { return coordLabel("(", ")", it.Coords...) },
 		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
 			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
 		},
@@ -799,7 +790,7 @@ func dominanceSpec() ProblemSpec {
 			return DominanceItem[int]{X: body.X, Y: body.Y, Z: body.Z, Weight: w}, nil
 		},
 		label: func(it DominanceItem[int]) string {
-			return fmt.Sprintf("(%.3f, %.3f, %.3f)", it.X, it.Y, it.Z)
+			return coordLabel("(", ")", it.X, it.Y, it.Z)
 		},
 		fresh: func(g *wrand.RNG, w float64) DominanceItem[int] {
 			return DominanceItem[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale, Weight: w}
@@ -857,7 +848,7 @@ func enclosureSpec() ProblemSpec {
 			return RectItem[int]{X1: body.X1, X2: body.X2, Y1: body.Y1, Y2: body.Y2, Weight: w}, nil
 		},
 		label: func(it RectItem[int]) string {
-			return fmt.Sprintf("[%.3f, %.3f]×[%.3f, %.3f]", it.X1, it.X2, it.Y1, it.Y2)
+			return coordLabel("[", "]", it.X1, it.X2) + "×" + coordLabel("[", "]", it.Y1, it.Y2)
 		},
 		fresh: func(g *wrand.RNG, w float64) RectItem[int] {
 			x, y := g.Float64()*coordScale, g.Float64()*coordScale
@@ -913,7 +904,7 @@ func halfplaneSpec() ProblemSpec {
 			}
 			return PointItem2[int]{X: body.X, Y: body.Y, Weight: w}, nil
 		},
-		label: func(it PointItem2[int]) string { return fmt.Sprintf("(%.3f, %.3f)", it.X, it.Y) },
+		label: func(it PointItem2[int]) string { return coordLabel("(", ")", it.X, it.Y) },
 		fresh: func(g *wrand.RNG, w float64) PointItem2[int] {
 			return PointItem2[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Weight: w}
 		},
@@ -952,7 +943,7 @@ func halfspaceSpec() ProblemSpec {
 			}
 			return halfspace.Halfspace{A: body.A, C: body.C}, nil
 		},
-		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		label: func(it PointItemN[int]) string { return coordLabel("(", ")", it.Coords...) },
 		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
 			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
 		},
