@@ -42,7 +42,6 @@ race:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzPSTOps -fuzztime $(FUZZTIME) ./internal/pst/
-	$(GO) test -fuzz FuzzMapOps -fuzztime $(FUZZTIME) ./internal/btree/
 	$(GO) test -fuzz FuzzPersistence -fuzztime $(FUZZTIME) ./internal/pstree/
 	$(GO) test -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) ./internal/interval/
 	$(GO) test -fuzz FuzzOverlayPolicies -fuzztime $(FUZZTIME) ./internal/dynamic/
@@ -69,10 +68,11 @@ fuzz-smoke:
 # on: the dynamization overlay, the reduction framework, the selection
 # primitives, the priority search tree and the interval and 1D range
 # black boxes built on it, the snapshot codec, the EM cost tracker, the
-# cluster serving tier, and the root package holding the
-# problem-descriptor engine, registry, and persistence layer.
+# shard placement hash and merge, the cluster serving tier, and the root
+# package holding the problem-descriptor engine, registry, and
+# persistence layer.
 cover:
-	@for pkg in ./internal/dynamic ./internal/core ./internal/xsort ./internal/pst ./internal/interval ./internal/rangerep ./internal/snap ./internal/em ./internal/cluster .; do \
+	@for pkg in ./internal/dynamic ./internal/core ./internal/xsort ./internal/pst ./internal/interval ./internal/rangerep ./internal/snap ./internal/em ./internal/shard ./internal/cluster .; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
 		echo "$$pkg coverage: $$pct%"; \
 		awk -v p="$$pct" 'BEGIN { exit !(p >= 70) }' || { echo "FAIL: $$pkg coverage $$pct% is below the 70% floor"; exit 1; }; \

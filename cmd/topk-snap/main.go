@@ -200,7 +200,7 @@ func cmdInspect(args []string) error {
 	}
 	fmt.Printf("items       %d\n", mf.Items)
 	if mf.Partitioned {
-		fmt.Printf("shards      %d (policy %s, rr cursor %d)\n", mf.Shards, mf.Policy, mf.RR)
+		fmt.Printf("shards      %d (by weight hash)\n", mf.Shards)
 	} else {
 		fmt.Printf("shards      1 (unpartitioned)\n")
 	}

@@ -105,9 +105,9 @@ type batchTopK[V any] interface {
 }
 
 // validateItem runs the problem's geometry checks plus the engine's
-// weight-finiteness check — the single validation gate shared by
-// construction and Insert (duplicate weights are checked against the live
-// map by each caller).
+// weight-finiteness check: the first half of admit, and on its own the
+// check a snapshot restore applies to tombstoned overlay items, whose
+// weights may be live again elsewhere.
 func (e *engine[Q, V, It]) validateItem(it It) error {
 	if err := e.p.validate(it); err != nil {
 		return err
@@ -116,6 +116,29 @@ func (e *engine[Q, V, It]) validateItem(it It) error {
 		return fmt.Errorf("topk: non-finite weight %v", w)
 	}
 	return nil
+}
+
+// admit is the one gate every item passes on its way into the engine —
+// construction, Insert, InsertBatch (a sharded index's too, run on each
+// item's home shard) and a snapshot restore's live overlay items — so
+// every path accepts exactly the same items and rejects them with the
+// same error: validateItem, then a weight neither live here nor already
+// admitted into the same batch. pending is that batch's weight set (nil
+// outside a batch); admit records the item's weight there and returns it.
+func (e *engine[Q, V, It]) admit(it It, pending map[float64]struct{}) (float64, error) {
+	if err := e.validateItem(it); err != nil {
+		return 0, err
+	}
+	w := e.p.weight(it)
+	_, live := e.data[w]
+	_, queued := pending[w]
+	if live || queued {
+		return 0, fmt.Errorf("topk: duplicate weight %v", w)
+	}
+	if pending != nil {
+		pending[w] = struct{}{}
+	}
+	return w, nil
 }
 
 // newEngine builds an index that is one engine: it validates items,
@@ -156,6 +179,17 @@ func (e *engine[Q, V, It]) standalone() *engine[Q, V, It] {
 	return e
 }
 
+// itemError is a build's rejection of the item at index i of the items
+// it was given. A sharded build rewrites i from the item's place in its
+// shard's bucket to its place in the caller's items.
+type itemError struct {
+	i   int
+	err error
+}
+
+func (e *itemError) Error() string { return fmt.Sprintf("item %d: %v", e.i, e.err) }
+func (e *itemError) Unwrap() error { return e.err }
+
 // init validates items and builds the reduction on the engine's tracker —
 // the construction body shared by buildEngine and the snapshot restore
 // path (which wraps it in em.Tracker.RestoreAccounting).
@@ -166,12 +200,9 @@ func (e *engine[Q, V, It]) init(items []It) error {
 	cores := make([]core.Item[V], len(items))
 	e.data = make(map[float64]It, len(items))
 	for i, it := range items {
-		if err := e.validateItem(it); err != nil {
-			return fmt.Errorf("item %d: %w", i, err)
-		}
-		w := p.weight(it)
-		if _, dup := e.data[w]; dup {
-			return fmt.Errorf("topk: duplicate weight %v", w)
+		w, err := e.admit(it, nil)
+		if err != nil {
+			return &itemError{i: i, err: err}
 		}
 		e.data[w] = it
 		cores[i] = p.toCore(it)
@@ -259,18 +290,15 @@ func (e *engine[Q, V, It]) Max(q Q) (It, bool) {
 	return e.wrap(res[0]), true
 }
 
-// Insert adds an item to an updatable engine, after running it through
-// the same validation gate as construction.
+// Insert adds an item to an updatable engine, after the same admission
+// gate as construction.
 func (e *engine[Q, V, It]) Insert(it It) error {
 	if e.dyn == nil {
 		return errStatic(e.opts.reduction)
 	}
-	if err := e.validateItem(it); err != nil {
+	w, err := e.admit(it, nil)
+	if err != nil {
 		return err
-	}
-	w := e.p.weight(it)
-	if _, dup := e.data[w]; dup {
-		return fmt.Errorf("topk: duplicate weight %v", w)
 	}
 	before := e.tracker.Stats()
 	if err := e.dyn.Insert(e.p.toCore(it)); err != nil {
@@ -284,33 +312,32 @@ func (e *engine[Q, V, It]) Insert(it It) error {
 }
 
 // InsertBatch adds a batch of items to an updatable engine in one
-// maintenance round. The whole batch is validated first — geometry,
-// weight finiteness, uniqueness against the live set and within the
-// batch — and a rejected batch inserts nothing. On the overlay, the
-// accepted batch is bulk-loaded with one sorted-merge flush instead of
-// len(items) individual tail passes.
+// maintenance round. Every item passes the admission gate first, in batch
+// order — geometry, weight finiteness, uniqueness against the live set
+// and within the batch — and a rejected batch inserts nothing.
 func (e *engine[Q, V, It]) InsertBatch(items []It) error {
 	if e.dyn == nil {
 		return errStatic(e.opts.reduction)
 	}
-	cores := make([]core.Item[V], len(items))
-	seen := make(map[float64]struct{}, len(items))
-	for i, it := range items {
-		if err := e.validateItem(it); err != nil {
+	pending := make(map[float64]struct{}, len(items))
+	for _, it := range items {
+		if _, err := e.admit(it, pending); err != nil {
 			return err
 		}
-		w := e.p.weight(it)
-		if _, dup := e.data[w]; dup {
-			return fmt.Errorf("topk: duplicate weight %v", w)
-		}
-		if _, dup := seen[w]; dup {
-			return fmt.Errorf("topk: duplicate weight %v", w)
-		}
-		seen[w] = struct{}{}
-		cores[i] = e.p.toCore(it)
 	}
+	return e.load(items)
+}
+
+// load inserts a batch that has passed admission. On the overlay it is
+// bulk-loaded with one sorted-merge flush instead of len(items)
+// individual tail passes; the native structure takes it item by item.
+func (e *engine[Q, V, It]) load(items []It) error {
 	if len(items) == 0 {
 		return nil
+	}
+	cores := make([]core.Item[V], len(items))
+	for i, it := range items {
+		cores[i] = e.p.toCore(it)
 	}
 	before := e.tracker.Stats()
 	if b, ok := e.dyn.(batchTopK[V]); ok {

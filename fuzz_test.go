@@ -14,6 +14,11 @@ import (
 
 const fuzzOpCap = 200
 
+// fuzzRoundTrips caps the snapshot round trips in one FuzzShardedInterval
+// input: each writes and reads files, and a few already put every later
+// op on a restored index.
+const fuzzRoundTrips = 3
+
 // fuzzReduction maps a byte to a reduction, never FullScan (the oracle
 // itself) to keep the diff meaningful.
 func fuzzReduction(b byte) Reduction {
@@ -118,24 +123,26 @@ func FuzzDynamicInterval(f *testing.F) {
 // FuzzShardedInterval diffs a sharded interval index against an
 // unsharded one over random op sequences: the single engine is the
 // oracle, so any fan-out/merge or update-routing divergence — wrong
-// order, wrong owner, lost item — fails immediately. The second byte
-// picks the shard count and placement policy.
+// order, wrong home shard, lost item — fails immediately. The second
+// byte picks the shard count. An op byte of 0xF0 or above, up to
+// fuzzRoundTrips times per input, snapshots the sharded index to disk
+// and continues on its restore, so later ops route by hash on a
+// restored index.
 func FuzzShardedInterval(f *testing.F) {
 	f.Add([]byte{0, 3, 10, 20, 30, 7, 3, 255, 1, 2, 3, 4, 90})
 	f.Add([]byte{1, 8, 200, 100, 50, 25, 12, 6, 3})
 	f.Add([]byte{2, 0, 0, 0, 0, 3, 3, 3, 7, 7, 7, 11, 11})
+	// Inserts, a round trip, queries and updates, a second round trip.
+	f.Add([]byte{0, 2, 0, 10, 40, 4, 20, 30, 8, 50, 9, 0xF0, 3, 40, 2, 2, 1, 0, 60, 5, 0xF5, 3, 100, 4, 6, 0, 7, 20, 5})
+	f.Add([]byte{1, 6, 0, 10, 40, 4, 20, 30, 8, 50, 9, 0xF0, 3, 40, 2, 2, 1, 0, 60, 5, 0xF5, 3, 100, 4, 6, 0, 7, 20, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
 		r := fuzzReduction(data[0])
 		shards := 1 + int(data[1])%8
-		policy := ShardByWeight
-		if data[1]&0x80 != 0 {
-			policy = ShardRoundRobin
-		}
 		sharded, err := newShardedIntervals([]IntervalItem[int]{}, shards,
-			WithReduction(r), WithUpdates(), WithSeed(1), WithShardPolicy(policy))
+			WithReduction(r), WithUpdates(), WithSeed(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +154,22 @@ func FuzzShardedInterval(f *testing.F) {
 		prog := &fuzzProg{data: data[2:]}
 		var order []float64
 		w := 0.0
+		trips := 0
 		for {
 			op, ok := prog.next()
 			if !ok {
 				break
+			}
+			if op >= 0xF0 && trips < fuzzRoundTrips {
+				trips++
+				dir := t.TempDir()
+				if err := sharded.snapDir(dir); err != nil {
+					t.Fatalf("snapshot: %v", err)
+				}
+				if sharded, err = restoreShardedIntervals(dir); err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				continue
 			}
 			switch op % 4 {
 			case 0, 1: // insert
@@ -188,7 +207,7 @@ func FuzzShardedInterval(f *testing.F) {
 				got := intervalWeights(sharded.TopK(x, k))
 				want := intervalWeights(single.TopK(x, k))
 				if !sameFloats(got, want) {
-					t.Fatalf("x=%v k=%d shards=%d %v: sharded %v, single %v", x, k, shards, policy, got, want)
+					t.Fatalf("x=%v k=%d shards=%d round trips=%d: sharded %v, single %v", x, k, shards, trips, got, want)
 				}
 			}
 			if sharded.Len() != single.Len() {

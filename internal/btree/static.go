@@ -1,11 +1,8 @@
-// Package btree provides B-fanout search structures over the simulated EM
-// machine of internal/em: a packed static index (bulk-built, predecessor /
-// successor search in O(log_B n) I/Os) and a dynamic B-tree map
-// (insert/delete/search in O(log_B n) I/Os per operation).
-//
-// These are the "B-tree on the weights" substrates the paper's Section 5.5
-// uses for canonical weight decompositions, and the dictionary layer under
-// the interval structures.
+// Package btree provides a B-fanout search structure over the simulated
+// EM machine of internal/em: a packed static index, bulk-built, with
+// predecessor / successor search in O(log_B n) I/Os. It is the
+// predecessor search under interval.StabMax1D, the paper's §5.2 folklore
+// static 1D stabbing max.
 package btree
 
 import (

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,5 +275,48 @@ func TestFetchConfigErrors(t *testing.T) {
 	}
 	if _, err := cluster.FetchConfig(context.Background(), nil, "http://127.0.0.1:1"); err == nil {
 		t.Fatal("no error for an unreachable coordinator")
+	}
+}
+
+// TestFetchShardsRejectsBadManifest: a node writes shard files where a
+// remote coordinator's manifest says, so a manifest naming a path
+// outside the node's directory, or one shard twice, is refused before
+// any shard file is fetched or written.
+func TestFetchShardsRejectsBadManifest(t *testing.T) {
+	file := func(name string, shard int) topk.ManifestFile {
+		return topk.ManifestFile{Name: name, Shard: shard, Bytes: 3}
+	}
+	for _, c := range []struct {
+		name  string
+		files []topk.ManifestFile
+	}{
+		{"name climbs out", []topk.ManifestFile{file("../escape.snap", 0), file("shard-001.snap", 1)}},
+		{"shard listed twice", []topk.ManifestFile{file("shard-000.snap", 0), file("shard-001.snap", 0)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mf := topk.Manifest{FormatVersion: 1, Problem: "interval", Reduction: "Expected",
+				Partitioned: true, Shards: len(c.files), Files: c.files}
+			var fetched atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/snapshot/manifest" {
+					json.NewEncoder(w).Encode(mf)
+					return
+				}
+				fetched.Add(1)
+				w.Write([]byte("abc"))
+			}))
+			defer ts.Close()
+			root := t.TempDir()
+			dir := filepath.Join(root, "node")
+			if _, err := cluster.FetchShards(context.Background(), nil, ts.URL, dir, []int{0, 1}); err == nil {
+				t.Fatal("FetchShards accepted the manifest")
+			}
+			if n := fetched.Load(); n != 0 {
+				t.Fatalf("fetched %d shard files from a rejected manifest", n)
+			}
+			if _, err := os.Stat(filepath.Join(root, "escape.snap")); err == nil {
+				t.Fatal("FetchShards wrote a file outside its directory")
+			}
+		})
 	}
 }

@@ -17,12 +17,18 @@ import (
 	"sync"
 )
 
-// Hash maps a weight to its owning shard. Weights are the global item
-// identity in this codebase (distinct across an index), so hashing the
-// weight gives a stable owner that Insert, Delete, and the build-time
-// partition all agree on. The mixer is SplitMix64's finalizer over the
-// IEEE-754 bits.
+// Hash maps a weight to its home shard, the one placement rule of a
+// sharded index. Weights are the global item identity in this codebase
+// (distinct across an index), so hashing the weight gives a home that
+// the build-time partition, Insert, Delete and a snapshot restore all
+// recompute with no routing table. The mixer is SplitMix64's finalizer
+// over the IEEE-754 bits. −0 and +0 are one weight to the engines (==
+// and map keys make them equal) but differ in their bits, so −0 is
+// hashed as +0: both have one home.
 func Hash(weight float64, shards int) int {
+	if weight == 0 {
+		weight = 0
+	}
 	x := math.Float64bits(weight)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -32,18 +38,14 @@ func Hash(weight float64, shards int) int {
 	return int(x % uint64(shards))
 }
 
-// Assign partitions item indices into shards buckets. When byWeight is
-// true the owner is Hash(weights[i], shards); otherwise items are dealt
-// round-robin (i mod shards). Every bucket is allocated even when empty,
-// so callers can build one engine per bucket unconditionally.
-func Assign(weights []float64, shards int, byWeight bool) [][]int {
-	out := make([][]int, shards)
-	for i := range weights {
-		sh := i % shards
-		if byWeight {
-			sh = Hash(weights[i], shards)
-		}
-		out[sh] = append(out[sh], i)
+// Assign partitions items into shards buckets by Hash of their weight,
+// keeping input order within each bucket. Every bucket is allocated even
+// when empty, so callers can build one engine per bucket unconditionally.
+func Assign[T any](items []T, shards int, weight func(T) float64) [][]T {
+	out := make([][]T, shards)
+	for _, it := range items {
+		sh := Hash(weight(it), shards)
+		out[sh] = append(out[sh], it)
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -23,6 +25,18 @@ func TestHashStableAndInRange(t *testing.T) {
 	}
 }
 
+// TestHashSignedZero pins that −0 and +0, one weight to every engine map,
+// share a home at every shard count (their raw bits mix to different
+// shards at most counts).
+func TestHashSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for s := 1; s <= 64; s++ {
+		if Hash(negZero, s) != Hash(0, s) {
+			t.Fatalf("%d shards: Hash(-0) = %d, Hash(+0) = %d", s, Hash(negZero, s), Hash(0, s))
+		}
+	}
+}
+
 func TestHashSpreads(t *testing.T) {
 	const n, s = 10000, 8
 	g := rand.New(rand.NewSource(2))
@@ -40,29 +54,23 @@ func TestHashSpreads(t *testing.T) {
 
 func TestAssignPartitions(t *testing.T) {
 	ws := []float64{5, 1, 9, 3, 7, 2, 8}
-	for _, byWeight := range []bool{true, false} {
-		for _, s := range []int{1, 2, 3, 8} {
-			parts := Assign(ws, s, byWeight)
-			if len(parts) != s {
-				t.Fatalf("Assign returned %d buckets, want %d", len(parts), s)
-			}
-			seen := map[int]bool{}
-			for sh, idxs := range parts {
-				for _, i := range idxs {
-					if seen[i] {
-						t.Fatalf("item %d assigned twice", i)
-					}
-					seen[i] = true
-					if byWeight && Hash(ws[i], s) != sh {
-						t.Fatalf("item %d in shard %d, Hash says %d", i, sh, Hash(ws[i], s))
-					}
-					if !byWeight && i%s != sh {
-						t.Fatalf("item %d in shard %d, round-robin says %d", i, sh, i%s)
-					}
+	id := func(w float64) float64 { return w }
+	for _, s := range []int{1, 2, 3, 8} {
+		parts := Assign(ws, s, id)
+		if len(parts) != s {
+			t.Fatalf("Assign returned %d buckets, want %d", len(parts), s)
+		}
+		// Each bucket is exactly the weights Hash sends there, in input
+		// order, so the buckets also cover every item once.
+		for sh, bucket := range parts {
+			var want []float64
+			for _, w := range ws {
+				if Hash(w, s) == sh {
+					want = append(want, w)
 				}
 			}
-			if len(seen) != len(ws) {
-				t.Fatalf("%d of %d items assigned", len(seen), len(ws))
+			if !slices.Equal(bucket, want) {
+				t.Fatalf("%d shards: bucket %d = %v, want %v", s, sh, bucket, want)
 			}
 		}
 	}

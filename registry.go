@@ -156,7 +156,7 @@ type ProblemSpec struct {
 	BuildInvalid func(opts ...Option) error
 	// Restore rebuilds the index from a snapshot directory written by
 	// Served.Snapshot. The structural configuration (reduction, block
-	// size, seed, shard policy) comes from the snapshot; opts may add
+	// size, seed, shard count) comes from the snapshot; opts may add
 	// runtime options such as WithMetrics or WithTracing.
 	Restore func(dir string, opts ...Option) (Served, error)
 	// RestoreShard rebuilds exactly one shard of a partitioned snapshot
@@ -234,7 +234,7 @@ type servedEngine[Q, It any] interface {
 
 func (e *engine[Q, V, It]) hasWeight(w float64) bool { _, ok := e.data[w]; return ok }
 
-func (s *sharded[Q, V, It]) hasWeight(w float64) bool { _, ok := s.owner[w]; return ok }
+func (s *sharded[Q, V, It]) hasWeight(w float64) bool { return s.home(w).hasWeight(w) }
 
 // served adapts one engine — or one sharded group of engines — to the
 // type-erased Served interface. The problem-specific residue is the

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -16,42 +17,19 @@ import (
 // is the paper's Lemma 2 core-set combine (internal/shard documents the
 // one-line argument), so a sharded index answers exactly what a single
 // engine over the union would — the conformance suite asserts this for
-// every problem × reduction at several shard counts. Updates route to
-// the owning shard, so dynamization (WithUpdates, or the native Theorem
-// 2 path) composes per shard, and each shard's build, insert, and query
-// I/Os stay attributed to that shard's tracker.
+// every problem × reduction at several shard counts. An item's shard is
+// a pure function of its weight, shard.Hash(w, S) — any partition makes
+// the merge exact, so placement needs no table — and every update goes
+// to that home shard, whose own duplicate check is therefore global.
+// Dynamization (WithUpdates, or the native Theorem 2 path) composes per
+// shard, and each shard's build, insert, and query I/Os stay attributed
+// to that shard's tracker.
 //
 // The registry is the only way in: ProblemSpec.BuildSharded, Restore and
 // LoadSnapshot put a sharded index behind the type-erased Served
 // surface. MergeShardResults, the per-query merge and its degradation
 // ladder, is exported because the cluster coordinator applies the very
 // same function to per-shard answers that arrive over the wire.
-
-// ShardPolicy selects how a sharded index assigns items to shards.
-type ShardPolicy int
-
-const (
-	// ShardByWeight routes an item to shard hash(weight) mod S. Weights
-	// are the global item identity, so build, Insert, and Delete all
-	// agree on the owner with no routing table. The default.
-	ShardByWeight ShardPolicy = iota
-	// ShardRoundRobin deals items to shards in rotation, which keeps
-	// shard sizes within one item of each other even for adversarial
-	// weight distributions. Deletes are routed through the index's
-	// weight→shard table.
-	ShardRoundRobin
-)
-
-// String returns the policy's name.
-func (p ShardPolicy) String() string {
-	switch p {
-	case ShardByWeight:
-		return "ShardByWeight"
-	case ShardRoundRobin:
-		return "ShardRoundRobin"
-	}
-	return fmt.Sprintf("ShardPolicy(%d)", int(p))
-}
 
 // sharded is a horizontally partitioned top-k index: S independent
 // engines over disjoint subsets of the items, queried in parallel and
@@ -68,51 +46,41 @@ type sharded[Q, V, It any] struct {
 	p      problem[Q, V, It]
 	opts   Options
 	shards []*engine[Q, V, It]
-	// owner maps each live weight to its shard, the routing table for
-	// Delete (and the global duplicate-weight gate) under any policy.
-	owner map[float64]int
-	// rr is the round-robin insert cursor (ShardRoundRobin only).
-	rr int
 	// ob is the index's one observability pipeline, shared by every
 	// shard engine (nil when observability is off).
 	ob *indexObs
 }
 
-// newSharded partitions items by the options' shard policy and builds
-// one engine per shard. All shards share one observability pipeline —
-// one metrics registry (series are distinguished by a shard label), one
-// slow-query log, one wide-event log — but nothing else: trackers,
-// structures, and caches are fully independent.
+// newSharded places every item on its home shard (shard.Hash of its
+// weight) and builds one engine per shard. All shards share one
+// observability pipeline — one metrics registry (series are
+// distinguished by a shard label), one slow-query log, one wide-event
+// log — but nothing else: trackers, structures, and caches are fully
+// independent.
 func newSharded[Q, V, It any](p problem[Q, V, It], items []It, shards int, opts []Option) (*sharded[Q, V, It], error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("topk: need at least 1 shard, got %d", shards)
 	}
-	o := applyOptions(opts)
-	s := &sharded[Q, V, It]{p: p, opts: o, owner: make(map[float64]int, len(items))}
-
-	ws := make([]float64, len(items))
-	for i, it := range items {
-		ws[i] = p.weight(it)
-	}
-	parts := shard.Assign(ws, shards, o.policy == ShardByWeight)
-	for sh, idxs := range parts {
-		for _, i := range idxs {
-			if prev, dup := s.owner[ws[i]]; dup && prev >= 0 {
-				return nil, fmt.Errorf("topk: duplicate weight %v", ws[i])
-			}
-			s.owner[ws[i]] = sh
-		}
-	}
-	s.rr = len(items) % shards
-
-	s.shards = make([]*engine[Q, V, It], shards)
-	for sh, idxs := range parts {
-		sub := make([]It, len(idxs))
-		for j, i := range idxs {
-			sub[j] = items[i]
-		}
-		eng, err := buildEngine(p, sub, o)
+	s := &sharded[Q, V, It]{p: p, opts: applyOptions(opts), shards: make([]*engine[Q, V, It], shards)}
+	for sh, sub := range shard.Assign(items, shards, p.weight) {
+		eng, err := buildEngine(p, sub, s.opts)
 		if err != nil {
+			// Name the rejected item by its index in items, as an
+			// unsharded build does, not by its index in this bucket.
+			var bad *itemError
+			if errors.As(err, &bad) {
+				j := bad.i
+				for i, it := range items {
+					if shard.Hash(p.weight(it), shards) != sh {
+						continue
+					}
+					if j == 0 {
+						bad.i = i
+						break
+					}
+					j--
+				}
+			}
 			return nil, fmt.Errorf("shard %d: %w", sh, err)
 		}
 		s.shards[sh] = eng
@@ -278,140 +246,53 @@ func MergeShardResults[It any](per []BatchResult[It], k int, weight func(It) flo
 	return r
 }
 
-// admitInsert is the sharded validation gate shared by Insert and
-// InsertBatch: the same geometry and weight-finiteness checks as a
-// single engine, plus global (cross-shard) weight uniqueness against
-// the owner map. Both paths report identical error strings — the
-// conformance suite pins this — so a caller cannot tell from an error
-// which ingest path rejected the item.
-func (s *sharded[Q, V, It]) admitInsert(it It) (float64, error) {
-	if err := s.shards[0].validateItem(it); err != nil {
-		return 0, err
-	}
-	w := s.p.weight(it)
-	if _, dup := s.owner[w]; dup {
-		return 0, fmt.Errorf("topk: duplicate weight %v", w)
-	}
-	return w, nil
+// home returns the engine of weight w's home shard.
+func (s *sharded[Q, V, It]) home(w float64) *engine[Q, V, It] {
+	return s.shards[shard.Hash(w, len(s.shards))]
 }
 
-// routeInsert picks the owning shard for an admitted weight, given the
-// round-robin cursor position rr (ignored under ShardByWeight).
-func (s *sharded[Q, V, It]) routeInsert(w float64, rr int) int {
-	if s.opts.policy == ShardRoundRobin {
-		return rr
-	}
-	return shard.Hash(w, len(s.shards))
-}
+// Insert adds an item to its home shard, through that engine's admission
+// gate: a duplicate weight can only live on the same home, so the gate's
+// duplicate check is global.
+func (s *sharded[Q, V, It]) Insert(it It) error { return s.home(s.p.weight(it)).Insert(it) }
 
-// Insert adds an item to the shard the policy selects, after the same
-// validation gate as a single engine: geometry, weight finiteness, and
-// global (cross-shard) weight uniqueness.
-func (s *sharded[Q, V, It]) Insert(it It) error {
-	if s.shards[0].dyn == nil {
-		return errStatic(s.opts.reduction)
-	}
-	w, err := s.admitInsert(it)
-	if err != nil {
-		return err
-	}
-	sh := s.routeInsert(w, s.rr)
-	if err := s.shards[sh].Insert(it); err != nil {
-		return err
-	}
-	if s.opts.policy == ShardRoundRobin {
-		s.rr = (s.rr + 1) % len(s.shards)
-	}
-	s.owner[w] = sh
-	return nil
-}
-
-// InsertBatch adds a batch of items in one cross-shard ingest round:
-// one admission pass over the whole batch (the Insert gate item by
-// item, plus one duplicate sweep within the batch), then the policy
-// routes each item to its owning shard and every shard bulk-loads its
-// sub-batch with a single engine InsertBatch. A batch that fails
+// InsertBatch adds a batch of items in one cross-shard ingest round: every
+// item passes its home shard's admission gate, in batch order, against
+// one pending set for the whole batch, so the first rejected item is
+// reported exactly as a single engine would report it; then every shard
+// bulk-loads its sub-batch in one maintenance round. A batch that fails
 // admission inserts nothing anywhere.
 func (s *sharded[Q, V, It]) InsertBatch(items []It) error {
 	if s.shards[0].dyn == nil {
 		return errStatic(s.opts.reduction)
 	}
-	seen := make(map[float64]struct{}, len(items))
-	sub := make([][]It, len(s.shards))
-	subW := make([][]float64, len(s.shards))
-	rr := s.rr
+	pending := make(map[float64]struct{}, len(items))
 	for _, it := range items {
-		w, err := s.admitInsert(it)
-		if err != nil {
+		if _, err := s.home(s.p.weight(it)).admit(it, pending); err != nil {
 			return err
 		}
-		if _, dup := seen[w]; dup {
-			return fmt.Errorf("topk: duplicate weight %v", w)
-		}
-		seen[w] = struct{}{}
-		sh := s.routeInsert(w, rr)
-		if s.opts.policy == ShardRoundRobin {
-			rr = (rr + 1) % len(s.shards)
-		}
-		sub[sh] = append(sub[sh], it)
-		subW[sh] = append(subW[sh], w)
 	}
-	for sh, batch := range sub {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := s.shards[sh].InsertBatch(batch); err != nil {
+	for sh, sub := range shard.Assign(items, len(s.shards), s.p.weight) {
+		if err := s.shards[sh].load(sub); err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
 		}
-		for _, w := range subW[sh] {
-			s.owner[w] = sh
-		}
 	}
-	s.rr = rr
 	return nil
 }
 
-// Delete removes the item with the given weight from its owning shard,
-// reporting whether it was present anywhere.
+// Delete removes the item with the given weight from its home shard,
+// reporting whether it was present.
 func (s *sharded[Q, V, It]) Delete(weight float64) (bool, error) {
-	if s.shards[0].dyn == nil {
-		return false, errStatic(s.opts.reduction)
-	}
-	sh, ok := s.owner[weight]
-	if !ok {
-		return false, nil
-	}
-	deleted, err := s.shards[sh].Delete(weight)
-	if err != nil || !deleted {
-		return deleted, err
-	}
-	delete(s.owner, weight)
-	return true, nil
+	return s.home(weight).Delete(weight)
 }
 
-// DeleteBatch removes the items with the given weights from their
-// owning shards, returning how many were present anywhere. The owner
-// map routes each weight, so every shard sees one DeleteBatch over
-// exactly the weights it holds and runs its structural maintenance
-// once for the whole batch.
+// DeleteBatch removes the items with the given weights from their home
+// shards, returning how many were present anywhere: every shard sees one
+// DeleteBatch over the weights that hash to it and runs its structural
+// maintenance once for the whole batch.
 func (s *sharded[Q, V, It]) DeleteBatch(weights []float64) (int, error) {
-	if s.shards[0].dyn == nil {
-		return 0, errStatic(s.opts.reduction)
-	}
-	sub := make([][]float64, len(s.shards))
-	for _, w := range weights {
-		sh, ok := s.owner[w]
-		if !ok {
-			continue
-		}
-		sub[sh] = append(sub[sh], w)
-		delete(s.owner, w)
-	}
 	found := 0
-	for sh, ws := range sub {
-		if len(ws) == 0 {
-			continue
-		}
+	for sh, ws := range shard.Assign(weights, len(s.shards), func(w float64) float64 { return w }) {
 		n, err := s.shards[sh].DeleteBatch(ws)
 		found += n
 		if err != nil {

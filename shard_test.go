@@ -2,11 +2,13 @@ package topk
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"topk/internal/interval"
 	"topk/internal/shard"
+	"topk/internal/snap"
 	"topk/internal/wrand"
 )
 
@@ -16,6 +18,19 @@ type shardedIntervals = sharded[float64, interval.Interval, IntervalItem[int]]
 
 func newShardedIntervals(items []IntervalItem[int], shards int, opts ...Option) (*shardedIntervals, error) {
 	return newSharded(intervalProblem[int](), items, shards, opts)
+}
+
+// restoreShardedIntervals restores a partitioned interval snapshot
+// directory straight into the sharded type.
+func restoreShardedIntervals(dir string) (*shardedIntervals, error) {
+	mf, err := ReadManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	mk := func(snap.Header) (problem[float64, interval.Interval, IntervalItem[int]], error) {
+		return intervalProblem[int](), nil
+	}
+	return restoreSharded(mk, dir, mf, nil)
 }
 
 func shardIntervals(n int, seed uint64) []IntervalItem[int] {
@@ -30,77 +45,106 @@ func shardIntervals(n int, seed uint64) []IntervalItem[int] {
 }
 
 func TestShardedConstructorErrors(t *testing.T) {
-	items := shardIntervals(10, 1)
+	items := shardIntervals(200, 1)
 	if _, err := newShardedIntervals(items, 0); err == nil {
 		t.Fatal("accepted 0 shards")
 	}
 	dup := append(append([]IntervalItem[int]{}, items...), items[3])
-	if _, err := newShardedIntervals(dup, 4); err == nil {
-		t.Fatal("accepted a cross-shard duplicate weight")
-	}
-	bad := append(append([]IntervalItem[int]{}, items...), IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5})
-	if _, err := newShardedIntervals(bad, 4); err == nil {
-		t.Fatal("accepted a malformed interval")
+	bad := append([]IntervalItem[int]{}, items...)
+	bad[150] = IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5}
+	for name, in := range map[string][]IntervalItem[int]{"duplicate weight": dup, "malformed interval": bad} {
+		_, want := NewIntervalIndex(in)
+		for _, shards := range []int{1, 2, 4} {
+			_, err := newShardedIntervals(in, shards)
+			if err == nil || want == nil {
+				t.Fatalf("%s, %d shards: sharded err = %v, single err = %v", name, shards, err, want)
+			}
+			// The sharded error names the same item as the single one.
+			if !strings.HasSuffix(err.Error(), ": "+want.Error()) {
+				t.Fatalf("%s, %d shards: sharded err %q does not end in the single err %q", name, shards, err, want)
+			}
+		}
 	}
 }
 
-// TestShardedPolicies pins down item placement: ShardByWeight puts every
-// item where shard.Hash says, and ShardRoundRobin keeps shard sizes
-// within one item of each other — at build time and across inserts.
-func TestShardedPolicies(t *testing.T) {
-	const n, shards = 100, 4
-	items := shardIntervals(n, 2)
-
-	byWeight, err := newShardedIntervals(items, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byWeight.opts.policy != ShardByWeight {
-		t.Fatalf("default policy = %v", byWeight.opts.policy)
-	}
-	want := make([]int, shards)
-	for _, it := range items {
-		want[shard.Hash(it.Weight, shards)]++
-	}
-	for i, got := range byWeight.ShardLens() {
-		if got != want[i] {
-			t.Fatalf("ShardByWeight shard %d holds %d items, Hash says %d", i, got, want[i])
+// TestShardedSignedZero checks that −0 and +0 are one weight on a sharded
+// index, as on a single engine: a build or insert of the second is a
+// duplicate, and deleting −0 removes the +0 item. Their IEEE-754 bits
+// differ, so a placement that hashed raw bits would send the two to
+// different shards at most shard counts.
+func TestShardedSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pos := IntervalItem[int]{Lo: 1, Hi: 2, Weight: 0}
+	neg := IntervalItem[int]{Lo: 3, Hi: 4, Weight: negZero}
+	const n = 20
+	for shards := 1; shards <= 8; shards++ {
+		both := append(shardIntervals(n, 4), pos, neg)
+		if _, err := newShardedIntervals(both, shards); err == nil || !strings.Contains(err.Error(), "duplicate weight") {
+			t.Fatalf("%d shards: build with 0 and -0: err = %v, want a duplicate weight", shards, err)
+		}
+		ix, err := newShardedIntervals(append(shardIntervals(n, 4), pos), shards, WithUpdates())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Insert(neg); err == nil {
+			t.Fatalf("%d shards: Insert(-0) beside +0 accepted", shards)
+		}
+		if err := ix.InsertBatch([]IntervalItem[int]{neg}); err == nil {
+			t.Fatalf("%d shards: InsertBatch(-0) beside +0 accepted", shards)
+		}
+		if ok, err := ix.Delete(negZero); !ok || err != nil {
+			t.Fatalf("%d shards: Delete(-0) = %v, %v; want the +0 item removed", shards, ok, err)
+		}
+		if err := ix.Insert(neg); err != nil {
+			t.Fatalf("%d shards: Insert(-0) after the delete: %v", shards, err)
+		}
+		if got, err := ix.DeleteBatch([]float64{0}); got != 1 || err != nil {
+			t.Fatalf("%d shards: DeleteBatch(+0) = %d, %v; want the -0 item removed", shards, got, err)
+		}
+		if ix.Len() != n {
+			t.Fatalf("%d shards: Len = %d, want %d", shards, ix.Len(), n)
 		}
 	}
+}
 
-	rr, err := newShardedIntervals(items, shards, WithShardPolicy(ShardRoundRobin))
+// TestShardedPlacement pins down item placement: every item lives in
+// the shard shard.Hash names for its weight, at build time and across
+// single and batch inserts.
+func TestShardedPlacement(t *testing.T) {
+	const n, shards = 100, 4
+	ix, err := newShardedIntervals(shardIntervals(n, 2), shards, WithUpdates())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rr.opts.policy != ShardRoundRobin {
-		t.Fatalf("policy = %v", rr.opts.policy)
 	}
 	check := func(stage string) {
-		lens := rr.ShardLens()
-		lo, hi := lens[0], lens[0]
-		for _, l := range lens {
-			if l < lo {
-				lo = l
+		for i, e := range ix.shards {
+			for w := range e.data {
+				if home := shard.Hash(w, shards); home != i {
+					t.Fatalf("%s: weight %v lives in shard %d, Hash says %d", stage, w, i, home)
+				}
 			}
-			if l > hi {
-				hi = l
-			}
-		}
-		if hi-lo > 1 {
-			t.Fatalf("%s: round-robin shards unbalanced: %v", stage, lens)
 		}
 	}
 	check("after build")
 	g := wrand.New(77)
+	var batch []IntervalItem[int]
 	for i := 0; i < 13; i++ {
 		lo := g.Float64() * 100
-		if err := rr.Insert(IntervalItem[int]{Lo: lo, Hi: lo + 1, Weight: 2e6 + float64(i)}); err != nil {
-			t.Fatalf("Insert %d: %v", i, err)
+		it := IntervalItem[int]{Lo: lo, Hi: lo + 1, Weight: 2e6 + float64(i)}
+		if i%2 == 0 {
+			if err := ix.Insert(it); err != nil {
+				t.Fatalf("Insert %d: %v", i, err)
+			}
+		} else {
+			batch = append(batch, it)
 		}
 	}
+	if err := ix.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
 	check("after inserts")
-	if rr.Len() != n+13 {
-		t.Fatalf("Len() = %d", rr.Len())
+	if ix.Len() != n+13 {
+		t.Fatalf("Len() = %d", ix.Len())
 	}
 }
 
@@ -108,57 +152,56 @@ func TestShardedPolicies(t *testing.T) {
 // sharded index and an unsharded one and requires identical answers —
 // the update-routing analogue of the conformance query sweep.
 func TestShardedDynamicMatchesSingle(t *testing.T) {
-	for _, policy := range []ShardPolicy{ShardByWeight, ShardRoundRobin} {
-		t.Run(policy.String(), func(t *testing.T) {
-			items := shardIntervals(60, 3)
-			sharded, err := newShardedIntervals(items, 3, WithShardPolicy(policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := NewIntervalIndex(items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := wrand.New(9)
-			for step := 0; step < 120; step++ {
-				switch g.IntN(3) {
-				case 0:
-					lo := g.Float64() * 100
-					it := IntervalItem[int]{Lo: lo, Hi: lo + g.Float64()*10, Weight: 3e6 + g.Float64()*1e6}
-					errA, errB := sharded.Insert(it), single.Insert(it)
-					if (errA == nil) != (errB == nil) {
-						t.Fatalf("step %d: Insert diverged: %v vs %v", step, errA, errB)
-					}
-				case 1:
-					all := single.Items()
-					if len(all) == 0 {
-						continue
-					}
-					w := all[g.IntN(len(all))].Weight
-					okA, errA := sharded.Delete(w)
-					okB, errB := single.Delete(w)
-					if okA != okB || (errA == nil) != (errB == nil) {
-						t.Fatalf("step %d: Delete(%v) diverged: (%v,%v) vs (%v,%v)", step, w, okA, errA, okB, errB)
-					}
-				default:
-					x := g.Float64() * 100
-					a := sharded.TopK(x, 7)
-					b := single.TopK(x, 7)
-					if len(a) != len(b) {
-						t.Fatalf("step %d: TopK lengths %d vs %d", step, len(a), len(b))
-					}
-					for i := range a {
-						if a[i].Weight != b[i].Weight {
-							t.Fatalf("step %d item %d: %v vs %v", step, i, a[i].Weight, b[i].Weight)
-						}
+	// Placement is by weight hash; the subtest is named for it.
+	t.Run("ShardByWeight", func(t *testing.T) {
+		items := shardIntervals(60, 3)
+		sharded, err := newShardedIntervals(items, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := NewIntervalIndex(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := wrand.New(9)
+		for step := 0; step < 120; step++ {
+			switch g.IntN(3) {
+			case 0:
+				lo := g.Float64() * 100
+				it := IntervalItem[int]{Lo: lo, Hi: lo + g.Float64()*10, Weight: 3e6 + g.Float64()*1e6}
+				errA, errB := sharded.Insert(it), single.Insert(it)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("step %d: Insert diverged: %v vs %v", step, errA, errB)
+				}
+			case 1:
+				all := single.Items()
+				if len(all) == 0 {
+					continue
+				}
+				w := all[g.IntN(len(all))].Weight
+				okA, errA := sharded.Delete(w)
+				okB, errB := single.Delete(w)
+				if okA != okB || (errA == nil) != (errB == nil) {
+					t.Fatalf("step %d: Delete(%v) diverged: (%v,%v) vs (%v,%v)", step, w, okA, errA, okB, errB)
+				}
+			default:
+				x := g.Float64() * 100
+				a := sharded.TopK(x, 7)
+				b := single.TopK(x, 7)
+				if len(a) != len(b) {
+					t.Fatalf("step %d: TopK lengths %d vs %d", step, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].Weight != b[i].Weight {
+						t.Fatalf("step %d item %d: %v vs %v", step, i, a[i].Weight, b[i].Weight)
 					}
 				}
-				if sharded.Len() != single.Len() {
-					t.Fatalf("step %d: Len %d vs %d", step, sharded.Len(), single.Len())
-				}
 			}
-		})
-	}
+			if sharded.Len() != single.Len() {
+				t.Fatalf("step %d: Len %d vs %d", step, sharded.Len(), single.Len())
+			}
+		}
+	})
 }
 
 // TestShardedMetricsSharedRegistry checks the observability aggregation

@@ -12,6 +12,7 @@ import (
 
 	"topk/internal/core"
 	"topk/internal/dynamic"
+	"topk/internal/shard"
 	"topk/internal/snap"
 )
 
@@ -53,16 +54,6 @@ func reductionFromName(name string) (Reduction, error) {
 		}
 	}
 	return 0, fmt.Errorf("topk: unknown reduction %q in snapshot", name)
-}
-
-// shardPolicyFromName parses a ShardPolicy's String() name.
-func shardPolicyFromName(name string) (ShardPolicy, error) {
-	for _, p := range []ShardPolicy{ShardByWeight, ShardRoundRobin} {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("topk: unknown shard policy %q in snapshot manifest", name)
 }
 
 // gobItems encodes an item batch as one self-contained gob blob:
@@ -424,9 +415,10 @@ func decodeEngine[Q, V, It any](
 }
 
 // initOverlay reconstructs an overlay engine from decoded overlay
-// sections: validates every item through the construction gate, rebuilds
-// the payload map from the live ones, and hands the level batches to
-// dynamic.Restore, which re-runs the deterministic substructure builds.
+// sections: every live item passes the construction gate (admit) into
+// the payload map, every tombstoned one validateItem, and
+// dynamic.Restore re-runs the deterministic substructure builds over the
+// level batches.
 func (e *engine[Q, V, It]) initOverlay(
 	levels []overlayLevelBlob[It],
 	tail []It,
@@ -443,16 +435,12 @@ func (e *engine[Q, V, It]) initOverlay(
 		TailCap: tailCap, DeadFrac: deadFrac, Counters: counters,
 		PolicyID: policyID, Tiers: tiers,
 	}
-	addLive := func(it It, where string) error {
-		if err := e.validateItem(it); err != nil {
-			return fmt.Errorf("topk: snapshot %s: %w", where, err)
+	addLive := func(it It) error {
+		w, err := e.admit(it, nil)
+		if err == nil {
+			e.data[w] = it
 		}
-		w := p.weight(it)
-		if _, dup := e.data[w]; dup {
-			return fmt.Errorf("topk: snapshot %s: duplicate weight %v", where, w)
-		}
-		e.data[w] = it
-		return nil
+		return err
 	}
 	for _, lvl := range levels {
 		dead := make(map[float64]struct{}, len(lvl.dead))
@@ -461,13 +449,12 @@ func (e *engine[Q, V, It]) initOverlay(
 		}
 		ls := dynamic.LevelState[V]{Slot: lvl.slot, Dead: lvl.dead, Items: make([]core.Item[V], len(lvl.items))}
 		for i, it := range lvl.items {
-			if err := e.validateItem(it); err != nil {
-				return fmt.Errorf("topk: snapshot level %d item %d: %w", lvl.slot, i, err)
+			check := addLive
+			if _, gone := dead[p.weight(it)]; gone {
+				check = e.validateItem
 			}
-			if _, gone := dead[p.weight(it)]; !gone {
-				if err := addLive(it, fmt.Sprintf("level %d", lvl.slot)); err != nil {
-					return err
-				}
+			if err := check(it); err != nil {
+				return fmt.Errorf("topk: snapshot level %d item %d: %w", lvl.slot, i, err)
 			}
 			ls.Items[i] = p.toCore(it)
 		}
@@ -475,8 +462,8 @@ func (e *engine[Q, V, It]) initOverlay(
 	}
 	state.Tail = make([]core.Item[V], len(tail))
 	for i, it := range tail {
-		if err := addLive(it, "tail"); err != nil {
-			return err
+		if err := addLive(it); err != nil {
+			return fmt.Errorf("topk: snapshot tail item %d: %w", i, err)
 		}
 		state.Tail[i] = p.toCore(it)
 	}
@@ -510,11 +497,11 @@ type Manifest struct {
 	Reduction     string `json:"reduction"`
 	Dim           int    `json:"dim,omitempty"`
 	// Partitioned distinguishes a sharded index (even with one shard)
-	// from a plain engine, so a restore rebuilds the same wrapper.
-	Partitioned bool   `json:"partitioned"`
-	Shards      int    `json:"shards"`
-	Policy      string `json:"policy,omitempty"`
-	RR          int    `json:"rr_cursor,omitempty"`
+	// from a plain engine, so a restore rebuilds the same wrapper. A
+	// partitioned index keeps each item in the shard its weight hashes
+	// to (shard.Hash), which a restore checks.
+	Partitioned bool `json:"partitioned"`
+	Shards      int  `json:"shards"`
 	// Maintenance names the overlay's structural-maintenance policy when
 	// it is not the default; empty means logarithmic (and is what every
 	// version-1 manifest reads as).
@@ -532,7 +519,12 @@ type ManifestFile struct {
 	CRC32 uint32 `json:"crc32"`
 }
 
-// ReadManifest loads and sanity-checks a snapshot directory's manifest.
+// ReadManifest loads a snapshot directory's manifest and validates it,
+// once, for every consumer: a format version this build reads; one file
+// per shard, each shard 0..Shards-1 named exactly once (an unpartitioned
+// manifest: one file, shard 0); file names that stay inside dir; and an
+// item total equal to the files' sum, so a restore, which checks each
+// file's count, also holds the manifest's total.
 func ReadManifest(dir string) (Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -547,6 +539,27 @@ func ReadManifest(dir string) (Manifest, error) {
 	}
 	if mf.Shards < 1 || len(mf.Files) != mf.Shards {
 		return Manifest{}, fmt.Errorf("topk: manifest lists %d files for %d shards", len(mf.Files), mf.Shards)
+	}
+	if !mf.Partitioned && mf.Shards != 1 {
+		return Manifest{}, fmt.Errorf("topk: unpartitioned manifest lists %d shards, want 1", mf.Shards)
+	}
+	listed := make([]bool, mf.Shards)
+	items := 0
+	for _, f := range mf.Files {
+		if f.Name != filepath.Base(f.Name) || f.Name == "." || f.Name == ".." {
+			return Manifest{}, fmt.Errorf("topk: manifest file name %q is not a plain file name", f.Name)
+		}
+		if f.Shard < 0 || f.Shard >= mf.Shards {
+			return Manifest{}, fmt.Errorf("topk: manifest file %s names shard %d of %d", f.Name, f.Shard, mf.Shards)
+		}
+		if listed[f.Shard] {
+			return Manifest{}, fmt.Errorf("topk: manifest lists shard %d twice", f.Shard)
+		}
+		listed[f.Shard] = true
+		items += f.Items
+	}
+	if items != mf.Items {
+		return Manifest{}, fmt.Errorf("topk: manifest declares %d items, its files hold %d", mf.Items, items)
 	}
 	return mf, nil
 }
@@ -640,8 +653,6 @@ func (s *sharded[Q, V, It]) snapDir(dir string) error {
 		Dim:           s.p.dim,
 		Partitioned:   true,
 		Shards:        len(s.shards),
-		Policy:        s.opts.policy.String(),
-		RR:            s.rr,
 		Maintenance:   s.shards[0].maintenanceID(),
 		Items:         s.Len(),
 	}
@@ -685,35 +696,19 @@ func restoreEngineFile[Q, V, It any](
 }
 
 // restoreSharded reassembles a sharded index from a partitioned
-// snapshot directory: each shard file restores into its own engine, the
-// owner map is rebuilt from the restored weights, and the policy and
-// round-robin cursor come back from the manifest.
+// snapshot directory whose manifest ReadManifest has validated: each
+// shard file restores into its own engine, and every live weight must
+// sit in the shard it hashes to, because the restored index routes
+// inserts, deletes and duplicate checks by that hash alone.
 func restoreSharded[Q, V, It any](
 	mk func(snap.Header) (problem[Q, V, It], error),
 	dir string,
 	mf Manifest,
 	opts []Option,
 ) (*sharded[Q, V, It], error) {
-	pol, err := shardPolicyFromName(mf.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if mf.RR < 0 || mf.RR >= mf.Shards {
-		return nil, fmt.Errorf("topk: manifest round-robin cursor %d out of range [0, %d)", mf.RR, mf.Shards)
-	}
-	s := &sharded[Q, V, It]{owner: make(map[float64]int), rr: mf.RR}
-	s.shards = make([]*engine[Q, V, It], mf.Shards)
+	s := &sharded[Q, V, It]{shards: make([]*engine[Q, V, It], mf.Shards)}
 	for _, entry := range mf.Files {
-		if entry.Shard < 0 || entry.Shard >= mf.Shards {
-			return nil, fmt.Errorf("topk: manifest file %s names shard %d of %d", entry.Name, entry.Shard, mf.Shards)
-		}
-		if s.shards[entry.Shard] != nil {
-			return nil, fmt.Errorf("topk: manifest lists shard %d twice", entry.Shard)
-		}
-		shOpts := make([]Option, len(opts), len(opts)+1)
-		copy(shOpts, opts)
-		shOpts = append(shOpts, WithShardPolicy(pol))
-		e, err := restoreEngineFile(mk, dir, entry, shOpts)
+		e, err := restoreEngineFile(mk, dir, entry, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -724,16 +719,14 @@ func restoreSharded[Q, V, It any](
 			return nil, fmt.Errorf("topk: shard %d snapshot uses maintenance policy %q, manifest says %q", entry.Shard, e.opts.maintPol, mf.Maintenance)
 		}
 		for w := range e.data {
-			if prev, dup := s.owner[w]; dup {
-				return nil, fmt.Errorf("topk: weight %v is live in shards %d and %d", w, prev, entry.Shard)
+			if home := shard.Hash(w, mf.Shards); home != entry.Shard {
+				return nil, fmt.Errorf("topk: weight %v is live in shard %d but hashes to shard %d", w, entry.Shard, home)
 			}
-			s.owner[w] = entry.Shard
 		}
 		s.shards[entry.Shard] = e
 	}
 	s.p = s.shards[0].p
 	s.opts = s.shards[0].opts
-	s.opts.policy = pol
 	s.observe()
 	return s, nil
 }
@@ -799,7 +792,6 @@ func optionsOf(o Options) []Option {
 		WithBlockSize(o.blockSize),
 		WithMemBlocks(o.memBlocks),
 		WithSeed(o.seed),
-		WithShardPolicy(o.policy),
 		WithMaintenancePolicy(o.maintPol),
 	}
 	if o.updates {

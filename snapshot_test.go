@@ -2,6 +2,7 @@ package topk
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -344,6 +345,32 @@ func TestSnapshotDirCorruption(t *testing.T) {
 			t.Fatal("restore succeeded with a missing shard file")
 		}
 	})
+	// ReadManifest validates a manifest once for every consumer; each
+	// edit below must be refused before any shard file is decoded.
+	for _, c := range []struct {
+		name, want string
+		edit       func(*Manifest)
+	}{
+		{"unpartitioned manifest with two shards", "unpartitioned", func(mf *Manifest) { mf.Partitioned = false }},
+		{"shard listed twice", "twice", func(mf *Manifest) { mf.Files[1].Shard = 0 }},
+		{"shard out of range", "names shard", func(mf *Manifest) { mf.Files[1].Shard = 2 }},
+		{"file name climbs out", "plain file name", func(mf *Manifest) { mf.Files[1].Name = "../shard-001.snap" }},
+		{"file name has a directory", "plain file name", func(mf *Manifest) { mf.Files[1].Name = "sub/shard-001.snap" }},
+		{"file name is dot-dot", "plain file name", func(mf *Manifest) { mf.Files[1].Name = ".." }},
+		{"file name is empty", "plain file name", func(mf *Manifest) { mf.Files[1].Name = "" }},
+		{"items disagree with files", "declares", func(mf *Manifest) { mf.Items++ }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := build(t, 2)
+			editManifest(t, dir, c.edit)
+			if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("ReadManifest err = %v, want %q", err, c.want)
+			}
+			if _, err := LoadSnapshot(dir); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadSnapshot err = %v, want %q", err, c.want)
+			}
+		})
+	}
 	t.Run("unknown problem in manifest", func(t *testing.T) {
 		dir := build(t, 1)
 		path := filepath.Join(dir, ManifestName)
@@ -359,6 +386,97 @@ func TestSnapshotDirCorruption(t *testing.T) {
 			t.Fatalf("err = %v, want unknown-problem error", err)
 		}
 	})
+}
+
+// editManifest rewrites dir's manifest through edit.
+func editManifest(t *testing.T, dir string, edit func(*Manifest)) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf Manifest
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		t.Fatal(err)
+	}
+	edit(&mf)
+	if err := writeManifest(dir, mf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConformanceRestoreRouting checks that a restored partitioned
+// index routes by weight hash alone, for every registered problem: each
+// live weight of a restored 3-shard index is found on its home shard, so
+// every Delete succeeds once and only once and the index drains to
+// empty. A manifest that still names a shard policy restores; one whose
+// entries swap two shard numbers puts every item of those files off its
+// home, and the restore refuses it.
+func TestConformanceRestoreRouting(t *testing.T) {
+	for _, spec := range RegisteredProblems() {
+		t.Run(spec.Name, func(t *testing.T) {
+			sv, err := spec.BuildSharded(0, 3, confSeed, WithUpdates())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Weights the test knows: a bulk batch plus single inserts.
+			const batch = 60
+			if err := sv.InsertBatch(decodeAll(t, sv, wireItems(t, spec.Name, batch))); err != nil {
+				t.Fatal(err)
+			}
+			var weights []float64
+			for i := 0; i < batch; i++ {
+				weights = append(weights, 2e6+float64(i))
+			}
+			for i := 0; i < 20; i++ {
+				w, err := sv.InsertFresh(uint64(100 + i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				weights = append(weights, w)
+			}
+			rst, dir := throughDisk(t, spec, sv)
+			if rst.Len() != len(weights) {
+				t.Fatalf("restored Len = %d, want %d", rst.Len(), len(weights))
+			}
+			for _, w := range weights {
+				if ok, err := rst.Delete(w); !ok || err != nil {
+					t.Fatalf("first Delete(%v) = %v, %v; want true", w, ok, err)
+				}
+				if ok, err := rst.Delete(w); ok || err != nil {
+					t.Fatalf("second Delete(%v) = %v, %v; want false", w, ok, err)
+				}
+			}
+			if rst.Len() != 0 {
+				t.Fatalf("Len after deleting every weight = %d", rst.Len())
+			}
+
+			// A manifest written while shard policies existed carries two
+			// more fields; a weight-hash snapshot still restores from it.
+			path := filepath.Join(dir, ManifestName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = bytes.Replace(raw, []byte(`"partitioned": true,`), []byte(`"partitioned": true, "policy": "ShardByWeight", "rr_cursor": 2,`), 1)
+			if !bytes.Contains(raw, []byte("rr_cursor")) {
+				t.Fatalf("manifest has no partitioned field to patch:\n%s", raw)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if old, err := spec.Restore(dir); err != nil || old.Len() != len(weights) {
+				t.Fatalf("restore from a manifest with policy fields: %v", err)
+			}
+
+			editManifest(t, dir, func(mf *Manifest) {
+				mf.Files[0].Shard, mf.Files[1].Shard = mf.Files[1].Shard, mf.Files[0].Shard
+			})
+			if _, err := spec.Restore(dir); err == nil || !strings.Contains(err.Error(), "hashes to shard") {
+				t.Fatalf("restore of swapped shards: err = %v, want a placement error", err)
+			}
+		})
+	}
 }
 
 // TestSnapshotReshard checks the bulk shard-shipping transform: a

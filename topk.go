@@ -168,7 +168,6 @@ type Options struct {
 	slowMin   int64
 	slowKeep  int
 	queryLogW io.Writer
-	policy    ShardPolicy
 	maintPol  MaintenancePolicy
 }
 
@@ -231,10 +230,6 @@ func WithTracing() Option { return func(o *Options) { o.tracing = true } }
 // observed once; a sharded index keeps one registry, in which each shard's
 // series carry a shard label.
 func WithMetrics() Option { return func(o *Options) { o.metrics = true } }
-
-// WithShardPolicy selects how a Sharded index assigns items to shards
-// (default ShardByWeight). It has no effect on unsharded indexes.
-func WithShardPolicy(p ShardPolicy) Option { return func(o *Options) { o.policy = p } }
 
 // WithSlowQueryLog logs every query that costs at least minIOs simulated
 // I/Os: a summary line plus the query's full phase trace. The index keeps
